@@ -337,7 +337,6 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         };
         let fact_opts = ValidateOptions {
             threads,
-            factor: FactorPolicy::On,
             ..Default::default()
         };
         let r_full = validate(&out.minimal, &out.exec, &full_opts);

@@ -2,7 +2,7 @@
 //! dependencies like infinite synchronization sequence can be detected
 //! during design stage").
 //!
-//! Validation layers, cheapest first:
+//! Validation runs two layers, cheapest first:
 //!
 //! 1. **Structural conflict check** — a cycle in the constraint graph is
 //!    an unsatisfiable ("infinite") synchronization sequence; reported
@@ -14,13 +14,14 @@
 //!    place has one consumer), so a single maximal-step run per assignment
 //!    is complete for deadlock/termination — this is what makes validation
 //!    scale past the interleaving explosion.
-//! 3. **Bounded interleaving exploration** (optional, small nets) — full
-//!    reachability up to a state limit, checking safety (1-boundedness)
-//!    and that every terminal marking is final.
+//!
+//! Full interleaving reachability is not a validation layer: callers that
+//! want the state space of a lowered net call [`crate::reach::explore`] or
+//! [`crate::reach::explore_with`] on it directly.
 
 use crate::lower::{lower, LoweredNet};
 use crate::prepared::{guard_groups, PreparedNet, WavefrontTables};
-use crate::reach::{assignment_chooser, explore, explore_with, run_to_quiescence, Reachability};
+use crate::reach::{assignment_chooser, run_to_quiescence};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ConstraintSet, SyncGraph};
 use dscweaver_graph::{effective_threads, find_cycle, par_ranges};
@@ -109,9 +110,8 @@ impl CompiledValidation {
         self.net.as_ref().map(|c| &c.lowered)
     }
 
-    /// Runs the run half — assignment enumeration and optional
-    /// exploration — against the compiled artifacts. Bit-identical to
-    /// [`validate`] with the same options.
+    /// Runs the run half — assignment enumeration — against the compiled
+    /// artifacts. Bit-identical to [`validate`] with the same options.
     pub fn run(&self, opts: &ValidateOptions) -> ValidationReport {
         if let Some(cycle) = &self.conflict_cycle {
             return ValidationReport {
@@ -119,7 +119,6 @@ impl CompiledValidation {
                 assignments_checked: 0,
                 assignments_truncated: false,
                 failures: Vec::new(),
-                exploration: None,
                 guard_groups: 0,
                 factored: false,
                 assignment_space: 0,
@@ -139,13 +138,10 @@ pub struct ValidateOptions {
     pub max_assignments: usize,
     /// Step budget per simulation run.
     pub max_steps: usize,
-    /// Also run bounded interleaving exploration with this many states
-    /// (0 = skip).
-    pub explore_states: usize,
-    /// Worker threads for the per-assignment fan-out and the layer-chunked
-    /// exploration. `0` picks from available parallelism, `1` forces the
-    /// sequential path; the report is bit-identical either way (failures
-    /// merge in assignment-lexicographic window order).
+    /// Worker threads for the per-assignment fan-out. `0` picks from
+    /// available parallelism, `1` forces the sequential path; the report
+    /// is bit-identical either way (failures merge in
+    /// assignment-lexicographic window order).
     pub threads: usize,
     /// Run each assignment on the legacy full-rescan simulator instead of
     /// the wavefront worklist. Results are identical; the flag exists so
@@ -174,14 +170,10 @@ pub struct ValidateOptions {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FactorPolicy {
     /// Factor whenever [`guard_groups`] finds more than one group — the
-    /// default. (With a single group the factored plan covers every
-    /// guard, which is exactly the unfactored enumeration, so `Auto` and
-    /// `On` behave identically; the variant exists to document intent.)
+    /// default. With a single group the factored plan covers every guard,
+    /// which is exactly the unfactored enumeration.
     #[default]
     Auto,
-    /// Same runtime behaviour as `Auto`; spelled out for callers that
-    /// specifically request the factored path.
-    On,
     /// Never factor: always enumerate the full multiplicative assignment
     /// space, keeping reports byte-stable against the classic path.
     Off,
@@ -192,7 +184,6 @@ impl Default for ValidateOptions {
         ValidateOptions {
             max_assignments: 4096,
             max_steps: 1_000_000,
-            explore_states: 0,
             threads: 0,
             rescan_baseline: false,
             factor: FactorPolicy::Auto,
@@ -225,15 +216,13 @@ pub struct ValidationReport {
     pub assignments_truncated: bool,
     /// Failures found.
     pub failures: Vec<AssignmentFailure>,
-    /// Interleaving exploration results, when requested.
-    pub exploration: Option<Reachability>,
     /// Independence groups the enumeration was split into: `1` for the
     /// unfactored path (or no guards), the number of disjoint-footprint
     /// groups when [`ValidateOptions::factor`] allowed factoring, `0`
     /// when validation stopped at a structural conflict.
     pub guard_groups: usize,
     /// Whether the enumeration actually ran factored (more than one
-    /// independent group under a non-`Off` [`FactorPolicy`]) — the
+    /// independent group under [`FactorPolicy::Auto`]) — the
     /// recorded auto-enable decision.
     pub factored: bool,
     /// The full multiplicative assignment space (product of domain
@@ -245,13 +234,7 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// Overall verdict.
     pub fn ok(&self) -> bool {
-        self.conflict_cycle.is_none()
-            && self.failures.is_empty()
-            && self
-                .exploration
-                .as_ref()
-                .map(|r| !r.truncated)
-                .unwrap_or(true)
+        self.conflict_cycle.is_none() && self.failures.is_empty()
     }
 }
 
@@ -271,8 +254,7 @@ pub fn validate(
     CompiledValidation::compile(cs, exec).run(opts)
 }
 
-/// The run half over compiled artifacts: assignment enumeration (layer 2)
-/// and optional interleaving exploration (layer 3).
+/// The run half over compiled artifacts: assignment enumeration (layer 2).
 fn run_compiled(
     compiled: &CompiledNet,
     domains: &[(String, Vec<String>)],
@@ -400,18 +382,6 @@ fn run_compiled(
     }
     drop(assignments_span);
 
-    // Layer 3: optional interleaving exploration.
-    let exploration = if opts.explore_states > 0 {
-        let _span = obs::span("petri.explore");
-        Some(if opts.rescan_baseline {
-            explore(&lowered.net, opts.explore_states)
-        } else {
-            explore_with(&lowered.net, opts.explore_states, opts.threads)
-        })
-    } else {
-        None
-    };
-
     let factored = plans.len() > 1;
     obs::counter_add("petri.assignments_checked", checked as u64);
     obs::counter_add("petri.failures", failures.len() as u64);
@@ -425,7 +395,6 @@ fn run_compiled(
         assignments_checked: checked,
         assignments_truncated: truncated,
         failures,
-        exploration,
         guard_groups: plans.len(),
         factored,
         assignment_space: space,
@@ -517,7 +486,6 @@ mod tests {
             ValidateOptions::default(),
             ValidateOptions {
                 factor: FactorPolicy::Off,
-                explore_states: 5_000,
                 ..Default::default()
             },
         ] {
@@ -530,17 +498,6 @@ mod tests {
                 assert_eq!(cached.factored, fresh.factored);
                 assert_eq!(cached.assignment_space, fresh.assignment_space);
                 assert!(cached.failures.is_empty());
-                match (&cached.exploration, &fresh.exploration) {
-                    (None, None) => {}
-                    (Some(c), Some(f)) => {
-                        assert_eq!(c.states, f.states);
-                        assert_eq!(c.truncated, f.truncated);
-                        assert_eq!(c.terminal, f.terminal);
-                        assert_eq!(c.fired, f.fired);
-                        assert_eq!(c.max_place_tokens, f.max_place_tokens);
-                    }
-                    _ => panic!("exploration presence must match"),
-                }
             }
         }
     }
@@ -631,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn exploration_layer_runs_when_requested() {
+    fn lowered_net_explores_to_one_safe_final_marking() {
         let mut cs = ConstraintSet::new("tiny");
         cs.add_activity("a");
         cs.add_activity("b");
@@ -641,18 +598,13 @@ mod tests {
             Origin::Data,
         ));
         let exec = exec_of(&cs);
-        let report = validate(
-            &cs,
-            &exec,
-            &ValidateOptions {
-                explore_states: 10_000,
-                ..Default::default()
-            },
-        );
-        assert!(report.ok());
-        let r = report.exploration.unwrap();
+        assert!(validate_default(&cs, &exec).ok());
+        let compiled = CompiledValidation::compile(&cs, &exec);
+        let lowered = compiled.lowered().expect("conflict-free");
+        let r = crate::reach::explore_with(&lowered.net, 10_000, 0);
         assert!(!r.truncated);
         assert_eq!(r.terminal.len(), 1);
+        assert!(lowered.is_final(&r.terminal[0]));
         assert_eq!(r.max_place_tokens, 1, "lowered nets are safe");
     }
 }

@@ -5,7 +5,7 @@
 //! nets for multi-valued branch outcomes). Includes bounded reachability,
 //! a deterministic maximal-step simulator, dead-path-elimination lowering
 //! and the layered validation pipeline (structural conflicts →
-//! per-assignment simulation → optional interleaving exploration).
+//! per-assignment simulation).
 //!
 //! Two engines run the per-assignment simulations: the legacy full-rescan
 //! loop ([`run_to_quiescence`]) and the wavefront worklist

@@ -3,10 +3,11 @@
 //!
 //! [`Client`] holds one keep-alive connection and reuses it across
 //! requests by default ([`Client::no_keepalive`] is the
-//! one-request-per-connection escape hatch); [`Client::pipeline`] writes
-//! a whole batch of requests before reading the replies back in order.
-//! The free functions [`request`]/[`post`]/[`get`] stay one-shot
-//! (`Connection: close`), matching their historical semantics.
+//! one-request-per-connection mode); [`Client::pipeline`] writes a whole
+//! batch of requests before reading the replies back in order. The free
+//! functions [`request`]/[`post`]/[`get`] are one-shot: a
+//! [`Client::no_keepalive`] client used once. Every reply is read by its
+//! `Content-Length` framing, whichever mode sent the request.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -117,10 +118,11 @@ impl Client {
 
     /// Sends one request and reads its reply. On a keep-alive client the
     /// connection is reused; if the daemon closed it in the meantime the
-    /// request is retried once on a fresh connection.
+    /// request is retried once on a fresh connection. Without keep-alive
+    /// every request sends `Connection: close` on a fresh connection.
     pub fn request(&mut self, method: &str, target: &str, body: &str) -> std::io::Result<Reply> {
         if !self.keepalive {
-            return request(self.addr, method, target, body);
+            self.stream = None;
         }
         let fresh = self.stream.is_none();
         match self.try_request(method, target, body) {
@@ -190,14 +192,14 @@ impl Client {
         self.ensure_stream()?;
         let stream = self.stream.as_mut().expect("ensured above");
         let mut wire = Vec::new();
-        render_request(&mut wire, method, target, self.addr, body, true);
+        render_request(&mut wire, method, target, self.addr, body, self.keepalive);
         stream.write_all(&wire)?;
         stream.flush()?;
         self.read_reply()
     }
 
-    /// Reads one content-length-framed reply off the persistent
-    /// connection (leftover buffered bytes belong to the next reply).
+    /// Reads one content-length-framed reply off the connection
+    /// (leftover buffered bytes belong to the next reply).
     fn read_reply(&mut self) -> std::io::Result<Reply> {
         let malformed = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed reply");
         let mut chunk = [0u8; 16 * 1024];
@@ -241,19 +243,12 @@ fn render_request(
 }
 
 /// Sends one `Connection: close` request on a fresh connection and reads
-/// the whole reply. `target` is the path plus any query string (e.g.
+/// its reply. `target` is the path plus any query string (e.g.
 /// `/v1/simulate?branch=g:T`).
 pub fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> std::io::Result<Reply> {
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    let mut wire = Vec::new();
-    render_request(&mut wire, method, target, addr, body, false);
-    stream.write_all(&wire)?;
-    stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    parse_reply(&raw)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed reply"))
+    Client::connect(addr)
+        .no_keepalive()
+        .request(method, target, body)
 }
 
 /// One-shot `POST` convenience (`Connection: close`).
@@ -266,24 +261,9 @@ pub fn get(addr: SocketAddr, target: &str) -> std::io::Result<Reply> {
     request(addr, "GET", target, "")
 }
 
-fn parse_reply(raw: &str) -> Option<Reply> {
-    let (head, body) = raw.split_once("\r\n\r\n")?;
-    let mut lines = head.lines();
-    let status: u16 = lines.next()?.split_whitespace().nth(1)?.parse().ok()?;
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Some(Reply {
-        status,
-        headers,
-        body: body.to_string(),
-    })
-}
-
 /// Parses one complete `Content-Length`-framed reply from the front of
-/// `buf`, returning it and the bytes consumed — the keep-alive framing,
-/// where the connection stays open and the next reply follows.
+/// `buf`, returning it and the bytes consumed. On a keep-alive connection
+/// the next reply follows in the same buffer.
 fn parse_reply_framed(buf: &[u8]) -> Option<(Reply, usize)> {
     let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(&buf[..head_end]).ok()?;
@@ -318,11 +298,49 @@ mod tests {
 
     #[test]
     fn parses_a_reply() {
-        let raw = "HTTP/1.1 200 OK\r\nX-Cache: hit\r\ncontent-length: 2\r\n\r\n{}";
-        let reply = parse_reply(raw).unwrap();
+        let raw = b"HTTP/1.1 200 OK\r\nX-Cache: hit\r\ncontent-length: 2\r\n\r\n{}";
+        let (reply, used) = parse_reply_framed(raw).unwrap();
         assert_eq!(reply.status, 200);
         assert_eq!(reply.cache(), "hit");
         assert_eq!(reply.body, "{}");
+        assert_eq!(used, raw.len());
+    }
+
+    #[test]
+    fn one_shot_get_to_a_closed_port_is_an_error() {
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        // The listener is dropped: nothing accepts on `addr` any more.
+        assert!(get(addr, "/healthz").is_err());
+    }
+
+    #[test]
+    fn one_shot_reply_parses_under_connection_close() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") {
+                stream.read_exact(&mut byte).unwrap();
+                head.push(byte[0]);
+            }
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: close\r\nx-cache: hit\r\n\r\n{}")
+                .unwrap();
+            String::from_utf8(head).unwrap()
+        });
+        let reply = get(addr, "/healthz").unwrap();
+        let head = peer.join().unwrap();
+        assert!(head.starts_with("GET /healthz HTTP/1.1\r\n"));
+        assert!(head.contains("connection: close\r\n"));
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.cache(), "hit");
+        assert_eq!(reply.body, "{}");
+        assert!(!reply.keep_alive());
     }
 
     #[test]

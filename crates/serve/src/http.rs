@@ -11,10 +11,7 @@
 //! names are matched case-insensitively (stored lower-cased), whitespace
 //! around values is tolerated, and declared bodies beyond the caller's
 //! `max_body` cap are rejected with `413` before any buffering grows to
-//! meet them. [`read_request`] adapts the same parser to a blocking
-//! `BufRead` stream for one-shot use.
-
-use std::io::{BufRead, Write};
+//! meet them. [`render_response`] is the writing half.
 
 /// Default cap on request body size, in bytes (`--max-body` overrides at
 /// the daemon). Oversized requests are rejected with `413 Payload Too
@@ -116,8 +113,11 @@ impl std::error::Error for HttpError {}
 ///
 /// ```
 /// use dscweaver_serve::http::parse_buffered;
-/// let raw = b"POST /v1/weave HTTP/1.1\r\ncontent-length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n";
+/// let raw = b"POST /v1/weave?x=1 HTTP/1.1\r\ncontent-length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n";
 /// let (req, used) = parse_buffered(raw, 1024).unwrap().unwrap();
+/// assert_eq!(req.method, "POST");
+/// assert_eq!(req.path, "/v1/weave");
+/// assert_eq!(req.query_first("x"), Some("1"));
 /// assert_eq!(req.body, b"hi");
 /// assert!(req.keep_alive);
 /// // The second (incomplete) request stays in the buffer.
@@ -235,36 +235,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Reads one HTTP/1.1 request from a blocking stream, using the same
-/// incremental parser the connection loop uses (body cap [`MAX_BODY`]).
-///
-/// ```
-/// use dscweaver_serve::http::read_request;
-/// let raw = b"POST /v1/weave?x=1 HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi";
-/// let req = read_request(&mut &raw[..]).unwrap();
-/// assert_eq!(req.method, "POST");
-/// assert_eq!(req.path, "/v1/weave");
-/// assert_eq!(req.query_first("x"), Some("1"));
-/// assert_eq!(req.body, b"hi");
-/// ```
-pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
-    let mut buf = Vec::new();
-    loop {
-        if let Some((req, _)) = parse_buffered(&buf, MAX_BODY)? {
-            return Ok(req);
-        }
-        let chunk = stream
-            .fill_buf()
-            .map_err(|e| HttpError::bad(format!("read error: {e}")))?;
-        if chunk.is_empty() {
-            return Err(HttpError::bad("connection closed mid-request"));
-        }
-        let n = chunk.len();
-        buf.extend_from_slice(chunk);
-        stream.consume(n);
-    }
-}
-
 /// The standard reason phrase for the status codes the daemon emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -307,28 +277,21 @@ pub fn render_response(
     bytes
 }
 
-/// Writes one `Connection: close` HTTP/1.1 response — the one-shot
-/// convenience over [`render_response`].
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, content_type, extra_headers, body, false))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_one(raw: &[u8]) -> Result<HttpRequest, HttpError> {
+        let (req, used) = parse_buffered(raw, MAX_BODY)?.expect("a complete request");
+        assert_eq!(used, raw.len());
+        Ok(req)
+    }
 
     #[test]
     fn parses_request_with_query_and_body() {
         let raw =
             b"POST /v1/simulate?branch=g:T&branch=h:F HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = parse_one(raw).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/simulate");
         assert_eq!(req.query_all("branch"), vec!["g:T", "h:F"]);
@@ -340,7 +303,7 @@ mod tests {
     #[test]
     fn header_names_are_case_insensitive_and_values_tolerate_whitespace() {
         let raw = b"POST / HTTP/1.1\r\nCONTENT-length :  3 \r\nX-Thing:  v  \r\n\r\nabc";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = parse_one(raw).unwrap();
         assert_eq!(req.body, b"abc");
         assert_eq!(req.header("x-thing"), Some("v"));
     }
@@ -385,13 +348,13 @@ mod tests {
     #[test]
     fn rejects_oversized_and_malformed() {
         let raw = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
+        let err = parse_one(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status, 413);
         // The cap is the caller's: a tiny max_body rejects small bodies.
         let raw = b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\n";
         assert_eq!(parse_buffered(raw, 4).unwrap_err().status, 413);
         let raw = b"POST / HTTP/1.1\r\nnocolon\r\n\r\n";
-        assert_eq!(read_request(&mut &raw[..]).unwrap_err().status, 400);
+        assert_eq!(parse_one(raw).unwrap_err().status, 400);
         // A huge head with no terminator is fatal, not "need more".
         let huge = vec![b'a'; MAX_HEAD + 8];
         assert_eq!(parse_buffered(&huge, MAX_BODY).unwrap_err().status, 431);
@@ -399,8 +362,7 @@ mod tests {
 
     #[test]
     fn response_round_trips() {
-        let mut buf = Vec::new();
-        write_response(&mut buf, 200, "application/json", &[("x-cache", "hit")], "{}").unwrap();
+        let buf = render_response(200, "application/json", &[("x-cache", "hit")], "{}", false);
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-type: application/json\r\n"));

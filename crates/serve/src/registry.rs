@@ -12,6 +12,12 @@
 //! raw-miss/canonical-hit is counted in `canonical_hits` and surfaces as
 //! `X-Cache: canonical` at the transport.
 //!
+//! A hash is only an index, never an identity: the raw memo keeps the
+//! submitted text and each entry keeps its canonical text, and every hit
+//! compares them. A hash match whose text differs is a collision — it is
+//! counted in `serve.hash_collisions` and served as a miss, so no tenant
+//! can receive another tenant's artifacts or [`Renaming`].
+//!
 //! An entry is everything the compile half of the pipeline produces,
 //! cached in run-many form: the woven [`WeaverOutput`], the frozen
 //! hash-consing pool snapshot ([`FrozenDnfPool`]), the Petri-net
@@ -66,6 +72,9 @@ pub fn content_hash(text: &str) -> u64 {
 pub struct ProcessEntry {
     /// Canonical content hash (the second-level cache key).
     pub hash: u64,
+    /// The canonical text: the entry's identity, compared on every cache
+    /// hit.
+    pub text: Arc<str>,
     /// The canonical process (canonical names; see [`crate::canon`]).
     pub process: Process,
     /// The extracted dependency set the weave ran on (canonical names).
@@ -134,6 +143,7 @@ impl ProcessEntry {
         obs::histogram("serve.compile").observe(t0.elapsed().as_nanos() as u64);
         Ok(ProcessEntry {
             hash,
+            text: form.text.as_str().into(),
             process: form.process.clone(),
             dependencies,
             output,
@@ -263,6 +273,11 @@ impl RegistryStats {
     }
 }
 
+/// Counts one cache-key hash match whose stored text differs.
+fn note_collision() {
+    obs::counter_add("serve.hash_collisions", 1);
+}
+
 /// How many `/v1/stats` snapshots the registry retains for
 /// `?since=SEQ` diffing.
 pub const STATS_RING: usize = 64;
@@ -273,7 +288,12 @@ pub const RAW_MEMO_PER_ENTRY: usize = 4;
 
 /// One raw-text memo: where this exact byte sequence canonicalized to.
 struct RawMemo {
+    /// The submitted text, compared on every memo hit.
+    text: Box<str>,
     canonical_hash: u64,
+    /// The canonical text the memo resolved to, compared with the entry
+    /// found under `canonical_hash`.
+    canonical: Arc<str>,
     renaming: Arc<Renaming>,
 }
 
@@ -298,6 +318,8 @@ pub struct Registry {
     tracer: Tracer,
     stats_seq: AtomicU64,
     stats_ring: Mutex<VecDeque<(u64, RegistryStats)>>,
+    /// The cache-key hash of a text ([`content_hash`] outside tests).
+    hash: fn(&str) -> u64,
 }
 
 impl Registry {
@@ -323,7 +345,15 @@ impl Registry {
             tracer: Tracer::new(TraceConfig::disabled()),
             stats_seq: AtomicU64::new(0),
             stats_ring: Mutex::new(VecDeque::new()),
+            hash: content_hash,
         }
+    }
+
+    /// Replaces the cache-key hash, so tests can force collisions.
+    #[cfg(test)]
+    fn with_hash(mut self, hash: fn(&str) -> u64) -> Registry {
+        self.hash = hash;
+        self
     }
 
     /// Sets the back-pressure ceiling: process-keyed requests beyond
@@ -363,45 +393,60 @@ impl Registry {
     }
 
     /// The hit-or-compile path every process-keyed request goes through:
-    /// raw memo → canonical cache → compile.
+    /// raw memo → canonical cache → compile. A hit counts only when the
+    /// stored text equals the submitted (raw memo) or canonical (entry)
+    /// text; a hash match with different text is a collision and falls
+    /// through as a miss.
     pub fn lookup_or_build(&self, text: &str) -> Result<Lookup, String> {
-        let raw_hash = content_hash(text);
+        let raw_hash = (self.hash)(text);
         {
             let _span = obs::span_with("serve.lookup", || format!("raw={raw_hash:016x}"));
             let _phase = crate::trace::phase("serve.lookup");
             let mut raw = self.raw.lock().expect("raw memo lock poisoned");
             if let Some(memo) = raw.get(&raw_hash).cloned() {
-                // Lock order is always raw → inner.
-                let mut cache = self.inner.lock().expect("registry lock poisoned");
-                if let Some(entry) = cache.get(&memo.canonical_hash) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    obs::counter_add("serve.cache_hits", 1);
-                    return Ok(Lookup {
-                        entry: entry.clone(),
-                        renaming: memo.renaming.clone(),
-                        status: LookupStatus::Hit,
-                    });
+                if *memo.text != *text {
+                    note_collision();
+                } else {
+                    // Lock order is always raw → inner.
+                    let mut cache = self.inner.lock().expect("registry lock poisoned");
+                    match cache.get(&memo.canonical_hash) {
+                        Some(entry) if entry.text == memo.canonical => {
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            obs::counter_add("serve.cache_hits", 1);
+                            return Ok(Lookup {
+                                entry: entry.clone(),
+                                renaming: memo.renaming.clone(),
+                                status: LookupStatus::Hit,
+                            });
+                        }
+                        Some(_) => note_collision(),
+                        // The canonical entry was evicted under this memo:
+                        // fall through to the slow path, which re-compiles
+                        // and refreshes the memo.
+                        None => {}
+                    }
                 }
-                // The canonical entry was evicted under this memo: fall
-                // through to the slow path, which re-compiles and
-                // refreshes the memo.
             }
         }
         let form = canonicalize(text)?;
+        let key = (self.hash)(&form.text);
         let renaming = Arc::new(form.renaming.clone());
         {
             let mut cache = self.inner.lock().expect("registry lock poisoned");
-            if let Some(entry) = cache.get(&form.hash) {
-                let entry = entry.clone();
-                drop(cache);
-                self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-                obs::counter_add("serve.canonical_hits", 1);
-                self.memoize_raw(raw_hash, form.hash, &renaming);
-                return Ok(Lookup {
-                    entry,
-                    renaming,
-                    status: LookupStatus::Canonical,
-                });
+            if let Some(entry) = cache.get(&key) {
+                if *entry.text == *form.text {
+                    let entry = entry.clone();
+                    drop(cache);
+                    self.canonical_hits.fetch_add(1, Ordering::Relaxed);
+                    obs::counter_add("serve.canonical_hits", 1);
+                    self.memoize_raw(raw_hash, text, key, &entry.text, &renaming);
+                    return Ok(Lookup {
+                        entry,
+                        renaming,
+                        status: LookupStatus::Canonical,
+                    });
+                }
+                note_collision();
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -409,13 +454,13 @@ impl Registry {
         let entry = Arc::new(ProcessEntry::build_canonical(&form, self.threads)?);
         let mut cache = self.inner.lock().expect("registry lock poisoned");
         let before = cache.evictions();
-        cache.insert(form.hash, entry.clone());
+        cache.insert(key, entry.clone());
         let evicted = cache.evictions() - before;
         drop(cache);
         if evicted > 0 {
             obs::counter_add("serve.evictions", evicted);
         }
-        self.memoize_raw(raw_hash, form.hash, &renaming);
+        self.memoize_raw(raw_hash, text, key, &entry.text, &renaming);
         Ok(Lookup {
             entry,
             renaming,
@@ -423,12 +468,21 @@ impl Registry {
         })
     }
 
-    fn memoize_raw(&self, raw_hash: u64, canonical_hash: u64, renaming: &Arc<Renaming>) {
+    fn memoize_raw(
+        &self,
+        raw_hash: u64,
+        text: &str,
+        canonical_hash: u64,
+        canonical: &Arc<str>,
+        renaming: &Arc<Renaming>,
+    ) {
         let mut raw = self.raw.lock().expect("raw memo lock poisoned");
         raw.insert(
             raw_hash,
             Arc::new(RawMemo {
+                text: text.into(),
                 canonical_hash,
+                canonical: canonical.clone(),
                 renaming: renaming.clone(),
             }),
         );
@@ -573,6 +627,90 @@ mod tests {
             first.entry.output.minimal.to_dscl()
         );
         assert_eq!(again.entry.pool().dnf_count(), first.entry.pool().dnf_count());
+    }
+
+    /// Serves each `(text, disposition, collisions added)` step through
+    /// `handle` and checks the body against the one-shot reference.
+    fn replay(reg: &Registry, steps: &[(&str, crate::service::CacheStatus, u64)]) {
+        use crate::service::{handle, oneshot, Request};
+        let collisions = || {
+            obs::metrics_snapshot()
+                .counters
+                .get("serve.hash_collisions")
+                .copied()
+                .unwrap_or(0)
+        };
+        for (i, &(text, status, added)) in steps.iter().enumerate() {
+            let before = collisions();
+            let req = Request::Weave { text: text.into() };
+            let served = handle(reg, &req);
+            assert_eq!(served.cache, status, "step {i}");
+            assert_eq!(served.body, oneshot(&req, 1).body, "step {i}");
+            assert_eq!(collisions() - before, added, "step {i}");
+        }
+    }
+
+    const VARIANT: &str =
+        "process Q { # variant\n var y;\n sequence { assign a1 writes y;\n   assign b1 reads y; }\n}";
+
+    fn other_process() -> String {
+        PROC.replace("assign b reads x;", "assign b reads x; assign c reads x;")
+    }
+
+    #[test]
+    fn colliding_hashes_never_share_bodies_or_renamings() {
+        use crate::service::CacheStatus::{Canonical, Hit, Miss};
+        let _serial = obs::test_lock();
+        obs::set_metrics_enabled(true);
+        // Every raw and canonical text hashes to one key.
+        let reg = Registry::new(4, 1).with_hash(|_| 0);
+        let other = other_process();
+        replay(
+            &reg,
+            &[
+                (PROC, Miss, 0),
+                // The raw memo holds PROC's text; the canonical text matches.
+                (VARIANT, Canonical, 1),
+                // The raw memo now holds the variant's text.
+                (PROC, Canonical, 1),
+                // A different process: both levels collide.
+                (&other, Miss, 2),
+                (PROC, Miss, 2),
+                (PROC, Hit, 0),
+            ],
+        );
+        let found = reg.lookup_or_build(PROC).unwrap();
+        assert_eq!(found.renaming.original("p0"), Some("P"));
+        assert_eq!(*found.entry.text, *canonicalize(PROC).unwrap().text);
+    }
+
+    #[test]
+    fn raw_memo_hit_checks_the_canonical_entry_it_lands_on() {
+        use crate::service::CacheStatus::{Hit, Miss};
+        let _serial = obs::test_lock();
+        obs::set_metrics_enabled(true);
+        // Raw texts keep distinct keys; every canonical text shares one, so
+        // a raw memo can outlive the entry it was made for.
+        let reg = Registry::new(4, 1).with_hash(|text| {
+            if text.starts_with("process p0{") {
+                0
+            } else {
+                content_hash(text)
+            }
+        });
+        let other = other_process();
+        replay(
+            &reg,
+            &[
+                (PROC, Miss, 0),
+                (PROC, Hit, 0),
+                // Replaces PROC's entry under the shared canonical key.
+                (&other, Miss, 1),
+                // PROC's raw memo survives but lands on the other entry.
+                (PROC, Miss, 2),
+                (PROC, Hit, 0),
+            ],
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Admission is batched **per connection readiness**, not per request:
 //! every tick the event loop fans the live connections across
 //! `dscweaver_graph::par_shards` workers, and each worker drains its
-//! connection's socket, parses up to `pipeline_depth` pipelined requests
+//! connection's socket, parses up to `PIPELINE_DEPTH` (32) pipelined requests
 //! from the buffer, serves them in order, and writes the responses back
 //! in request order — so a burst of requests on one warm connection costs
 //! one fan-out, no accept, and no per-request allocation beyond the
@@ -33,6 +33,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Most new connections accepted per event-loop tick.
+const ACCEPT_BATCH: usize = 64;
+
+/// Most pipelined requests served from one connection per event-loop
+/// tick; further buffered requests wait for the next tick so one flooding
+/// client cannot monopolize a worker.
+const PIPELINE_DEPTH: usize = 32;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -44,8 +52,6 @@ pub struct ServeConfig {
     /// Prepared-artifact cache capacity (canonical entries; LRU beyond
     /// it).
     pub cache_capacity: usize,
-    /// Most new connections accepted per event-loop tick.
-    pub batch: usize,
     /// Most connections held open concurrently (`--max-conns`); accepts
     /// beyond it wait in the listen backlog.
     pub max_conns: usize,
@@ -55,10 +61,6 @@ pub struct ServeConfig {
     /// Largest accepted request body in bytes (`--max-body`); larger
     /// declared bodies are rejected with `413`.
     pub max_body: usize,
-    /// Most pipelined requests served from one connection per event-loop
-    /// tick; further buffered requests wait for the next tick so one
-    /// flooding client cannot monopolize a worker.
-    pub pipeline_depth: usize,
     /// Back-pressure ceiling: process-keyed requests beyond this many
     /// concurrently in flight are rejected with `429` (`0` = unlimited).
     pub max_in_flight: u64,
@@ -79,11 +81,9 @@ impl Default for ServeConfig {
             port: 0,
             threads: 0,
             cache_capacity: 1024,
-            batch: 64,
             max_conns: 1024,
             idle_timeout_ms: 10_000,
             max_body: crate::http::MAX_BODY,
-            pipeline_depth: 32,
             max_in_flight: 0,
             trace_slow_ms: trace.slow_ns / 1_000_000,
             trace_sample: trace.sample_every,
@@ -195,7 +195,6 @@ fn event_loop(
     config: ServeConfig,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let accept_cap = config.batch.max(1);
     let max_conns = config.max_conns.max(1);
     let idle = Duration::from_millis(config.idle_timeout_ms.max(1));
     // Quiet-tick backoff: with live connections the loop spins (yield)
@@ -207,7 +206,7 @@ fn event_loop(
         // Admit new connections, bounded per tick and by --max-conns
         // (excess accepts wait in the listen backlog).
         let mut accepted = 0usize;
-        while conns.len() < max_conns && accepted < accept_cap {
+        while conns.len() < max_conns && accepted < ACCEPT_BATCH {
             match listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
@@ -277,7 +276,7 @@ fn threads_for(threads: usize, conns: usize) -> usize {
 }
 
 /// One tick of one connection: drain the socket into the reusable
-/// buffer, serve up to `pipeline_depth` buffered requests in order, and
+/// buffer, serve up to `PIPELINE_DEPTH` buffered requests in order, and
 /// flush as much of the output buffer as the socket accepts. Returns
 /// whether any bytes moved or requests were served (the event loop's
 /// idle/sleep signal).
@@ -309,7 +308,7 @@ fn serve_ready(conn: &mut Conn, registry: &Registry, config: &ServeConfig) -> bo
 
     // Serve buffered requests in arrival order, bounded per tick.
     let mut served_now = 0usize;
-    while served_now < config.pipeline_depth.max(1) && !conn.close {
+    while served_now < PIPELINE_DEPTH && !conn.close {
         let parsed = {
             let _span = obs::span("serve.parse");
             parse_buffered(&conn.buf, config.max_body)

@@ -464,10 +464,7 @@ mod tests {
         let factored = dscweaver_petri::validate(
             &out.minimal,
             &out.exec,
-            &dscweaver_petri::ValidateOptions {
-                factor: FactorPolicy::On,
-                ..Default::default()
-            },
+            &dscweaver_petri::ValidateOptions::default(),
         );
         assert!(factored.ok(), "failures: {:?}", factored.failures);
         assert_eq!(factored.guard_groups, 2);

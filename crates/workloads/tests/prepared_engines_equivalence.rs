@@ -166,7 +166,6 @@ fn factored_validation_agrees_with_full_enumeration() {
             &out.minimal,
             &out.exec,
             &ValidateOptions {
-                factor: FactorPolicy::On,
                 threads,
                 ..Default::default()
             },

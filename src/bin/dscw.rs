@@ -8,10 +8,10 @@
 //! dscw dot       <process.proc> [--stage sc|asc|minimal] [...]
 //! dscw figures   <process.proc> [...]
 //! dscw monitor   <process.proc> [--instances N] [--batch N] [--seed N] [--violate RATE] [...]
-//! dscw serve     [--port N] [--threads N] [--cache N] [--batch N] [--max-conns N]
-//!                [--idle-timeout MS] [--max-body BYTES] [--pipeline-depth N]
-//!                [--max-in-flight N] [--stats-interval SECS] [--trace-slow-ms MS]
-//!                [--trace-sample N] [--trace out.json] [--profile]
+//! dscw serve     [--port N] [--threads N] [--cache N] [--max-conns N]
+//!                [--idle-timeout MS] [--max-body BYTES] [--max-in-flight N]
+//!                [--trace-slow-ms MS] [--trace-sample N] [--trace-capacity N]
+//!                [--duration SECS] [--trace out.json] [--profile]
 //! ```
 //!
 //! The process is a `.proc` DSL file (see `dscweaver-model`). Cooperation
@@ -36,10 +36,10 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: dscw serve [--port <n>] [--threads <n>] [--cache <entries>] [--batch <n>]
+        "usage: dscw serve [--port <n>] [--threads <n>] [--cache <entries>]
        [--max-conns <n>] [--idle-timeout <ms>] [--max-body <bytes>]
-       [--pipeline-depth <n>] [--max-in-flight <n>] [--stats-interval <secs>]
-       [--trace-slow-ms <ms>] [--trace-sample <n>] [--trace-capacity <n>]
+       [--max-in-flight <n>] [--trace-slow-ms <ms>]
+       [--trace-sample <n>] [--trace-capacity <n>]
        [--duration <secs>] [--trace <out.json>] [--profile]
        dscw <optimize|validate|run|bpel|dot|figures|monitor> <process.proc>
        [--coop <constraints.dscl>]
@@ -133,7 +133,6 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     let mut trace: Option<String> = None;
     let mut profile = false;
     let mut duration: u64 = 0;
-    let mut stats_interval: u64 = 0;
     while let Some(flag) = argv.next() {
         let mut next = |what: &str| {
             argv.next()
@@ -151,11 +150,6 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad cache capacity: {e}"))?
             }
-            "--batch" => {
-                config.batch = next("batch")?
-                    .parse()
-                    .map_err(|e| format!("bad batch size: {e}"))?
-            }
             "--max-conns" => {
                 config.max_conns = next("max-conns")?
                     .parse()
@@ -171,20 +165,10 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad body cap: {e}"))?
             }
-            "--pipeline-depth" => {
-                config.pipeline_depth = next("pipeline-depth")?
-                    .parse()
-                    .map_err(|e| format!("bad pipeline depth: {e}"))?
-            }
             "--max-in-flight" => {
                 config.max_in_flight = next("max-in-flight")?
                     .parse()
                     .map_err(|e| format!("bad in-flight ceiling: {e}"))?
-            }
-            "--stats-interval" => {
-                stats_interval = next("stats-interval")?
-                    .parse()
-                    .map_err(|e| format!("bad stats interval: {e}"))?
             }
             "--trace-slow-ms" => {
                 config.trace_slow_ms = next("trace-slow-ms")?
@@ -218,13 +202,12 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     let server = Server::start(&config).map_err(|e| format!("cannot bind: {e}"))?;
     eprintln!(
         "dscw serve: listening on http://{} (cache {} entries, threads {}, \
-         max-conns {}, idle-timeout {}ms, pipeline-depth {})",
+         max-conns {}, idle-timeout {}ms)",
         server.addr(),
         config.cache_capacity,
         if config.threads == 0 { "auto".into() } else { config.threads.to_string() },
         config.max_conns,
         config.idle_timeout_ms,
-        config.pipeline_depth,
     );
     eprintln!(
         "endpoints: POST /v1/weave /v1/validate /v1/simulate /v1/reweave | \
@@ -236,41 +219,6 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
             config.max_in_flight
         );
     }
-    // Periodic one-line summary on stderr: per-interval deltas of the
-    // cumulative counters plus the instantaneous gauges. The thread is
-    // detached — it dies with the process, and the stop flag silences it
-    // across a graceful `--duration` shutdown.
-    let stats_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    if stats_interval > 0 {
-        let registry = server.registry().clone();
-        let stop = stats_stop.clone();
-        std::thread::spawn(move || {
-            let mut prev = registry.stats();
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_secs(stats_interval));
-                if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let now = registry.stats();
-                let d = now.delta_since(&prev);
-                eprintln!(
-                    "dscw serve [{stats_interval}s]: served {} ({:.1}/s), rejected {}, \
-                     hits {}, canonical {}, misses {}, evictions {}, in-flight {}, cache {}/{}",
-                    d.served,
-                    d.served as f64 / stats_interval as f64,
-                    d.rejected,
-                    d.hits,
-                    d.canonical_hits,
-                    d.misses,
-                    d.evictions,
-                    now.in_flight,
-                    now.entries,
-                    now.capacity,
-                );
-                prev = now;
-            }
-        });
-    }
     if duration == 0 {
         // Serve until the process is killed; the listener thread owns
         // the socket, so parking the main thread is all that remains.
@@ -279,7 +227,6 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     std::thread::sleep(std::time::Duration::from_secs(duration));
-    stats_stop.store(true, std::sync::atomic::Ordering::Relaxed);
     server.shutdown();
     if recording {
         obs::set_enabled(false);

@@ -236,3 +236,13 @@ fn errors_are_reported() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+#[test]
+fn serve_rejects_unknown_flags_with_usage() {
+    for flags in [["--batch", "4"], ["--pipeline-depth", "4"], ["--stats-interval", "1"]] {
+        let out = bin().arg("serve").args(flags).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "dscw serve {flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "dscw serve {flags:?}: {stderr}");
+    }
+}
