@@ -1,13 +1,15 @@
 //! # dscweaver-bench
 //!
 //! Experiment harness: structured regeneration of every table and figure
-//! in the paper plus the extended (Ext-A..D) evaluations, shared between
-//! the `repro` binary and the wall-time benches (see [`harness`]).
+//! in the paper plus the extended (Ext-A..D) evaluations, the `repro
+//! bench-json` suites (see [`harness`]), and the reference engines the
+//! production crates are checked against ([`oracle`]).
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod harness;
+pub mod oracle;
 pub mod perf;
 pub mod perf_diff;
 pub mod perf_evolve;

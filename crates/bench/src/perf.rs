@@ -1,18 +1,18 @@
-//! Old-vs-new minimizer comparison: shared case definitions for the
-//! `scaling_minimize` / `ablation_minimize` benches and the
+//! Old-vs-new minimizer comparison: the case definitions and the
 //! machine-readable `BENCH_minimize.json` artifact written by
 //! `repro bench-json`.
 //!
 //! The comparison pits [`dscweaver_core::minimize_generic_with`] (interned
 //! annotations, bitset prefilters, scoped worker threads — this repo's
-//! optimized engine) against [`dscweaver_core::minimize_generic_baseline`]
+//! optimized engine) against [`crate::oracle::minimize_generic_baseline`]
 //! (the sequential structural reference) on identical prepared inputs, and
 //! asserts the minimal sets agree before reporting any timing.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
+use crate::oracle::minimize_generic_baseline;
 use dscweaver_core::{
-    merge, minimize_generic_baseline, minimize_generic_with, translate_services, EdgeOrder,
-    EquivalenceMode, ExecConditions, MinimizeOptions,
+    merge, minimize_generic_with, translate_services, EdgeOrder, EquivalenceMode, ExecConditions,
+    MinimizeOptions,
 };
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;

@@ -1,8 +1,8 @@
 //! Old-vs-new Petri validation comparison: the legacy full-rescan
-//! simulator versus the wavefront worklist (sequential and with the
-//! assignment fan-out on the worker pool), rendered as the
-//! machine-readable `BENCH_petri.json` artifact written by
-//! `repro bench-json --suite petri`.
+//! simulator ([`crate::oracle::validate_rescan`]) versus the wavefront
+//! worklist (sequential and with the assignment fan-out on the worker
+//! pool), rendered as the machine-readable `BENCH_petri.json` artifact
+//! written by `repro bench-json --suite petri`.
 //!
 //! Two further sections measure the prepared engine: the amortized
 //! per-run constant of replaying assignments through one reused
@@ -14,6 +14,7 @@
 //! and thread counts before any timing is taken.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
+use crate::oracle::validate_rescan;
 use dscweaver_core::{ExecConditions, Weaver};
 use dscweaver_obs as obs;
 use dscweaver_dscl::ConstraintSet;
@@ -215,11 +216,8 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut suite_trace = obs::TraceSnapshot::default();
     for case in petri_cases(smoke) {
         let (cs, exec) = case.prepare();
-        let base_opts = ValidateOptions {
-            threads: 1,
-            rescan_baseline: true,
-            ..Default::default()
-        };
+        // The reference is sequential and never factors.
+        let base_opts = ValidateOptions::default();
         let seq_opts = ValidateOptions {
             threads: 1,
             ..Default::default()
@@ -229,14 +227,16 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             ..Default::default()
         };
 
-        let r_base = validate(&cs, &exec, &base_opts);
+        let r_base = validate_rescan(&cs, &exec, &base_opts);
         let r_seq = validate(&cs, &exec, &seq_opts);
         let r_par = validate(&cs, &exec, &par_opts);
+        // Every guard of a dense-conditional workload shares one group,
+        // so `Auto` enumerates the same space as the unfactored reference.
         assert_eq!(canon(&r_base), canon(&r_seq), "case {}", case.name);
         assert_eq!(canon(&r_base), canon(&r_par), "case {}", case.name);
 
         let t_base = median(&sample(samples_base, || {
-            black_box(validate(&cs, &exec, &base_opts))
+            black_box(validate_rescan(&cs, &exec, &base_opts))
         }));
         let t_seq = median(&sample(samples_new, || {
             black_box(validate(&cs, &exec, &seq_opts))

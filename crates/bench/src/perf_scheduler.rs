@@ -1,5 +1,5 @@
 //! Old-vs-new DES scheduler comparison: the legacy per-tick linear rescan
-//! versus the dependency-counting wavefront (sequential and with the
+//! ([`crate::oracle::simulate_rescan_baseline`]) versus the dependency-counting wavefront (sequential and with the
 //! guard-evaluation batches on the worker pool), rendered as the
 //! machine-readable `BENCH_scheduler.json` artifact written by
 //! `repro bench-json --suite scheduler`.
@@ -15,10 +15,11 @@
 //! indexes — per run.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
+use crate::oracle::simulate_rescan_baseline;
 use dscweaver_core::{merge, translate_services, ExecConditions};
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;
-use dscweaver_scheduler::{simulate, simulate_rescan_baseline, PreparedSchedule, SimConfig};
+use dscweaver_scheduler::{simulate, PreparedSchedule, SimConfig};
 use dscweaver_workloads::{
     dense_conditional, fork_join, layered, DenseConditionalParams, LayeredParams,
 };

@@ -23,7 +23,7 @@ pub use diff::{diff_constraint_sets, diff_outputs, ConstraintDiff};
 pub use exec::ExecConditions;
 pub use merge::{lower, merge};
 pub use minimize::{
-    minimize, minimize_generic, minimize_generic_baseline, minimize_generic_with,
+    minimize, minimize_generic, minimize_generic_with,
     minimize_unconditional_fast, minimize_with, EdgeOrder, EquivalenceMode, MinimizeError,
     MinimizeOptions, MinimizeResult, MinimizeStats,
 };

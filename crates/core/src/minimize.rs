@@ -58,8 +58,8 @@
 //!    if an earlier acceptance dirtied their dependency cone), and the
 //!    slow path's affected-ancestor recomputation runs in
 //!    reverse-topological level batches across a `std::thread::scope`
-//!    pool. The result is pinned edge-for-edge equal to the sequential
-//!    reference implementation, kept as [`minimize_generic_baseline`].
+//!    pool. The result is pinned edge-for-edge equal to a sequential
+//!    structural reference implementation (`dscweaver_bench::oracle`).
 //!
 //! ```
 //! use dscweaver_core::minimize::{minimize, EdgeOrder, EquivalenceMode};
@@ -82,10 +82,10 @@
 //! assert_eq!(out.minimal.constraint_count(), 2);
 //! ```
 
-use crate::exec::{dnf_and, implies_under, ExecConditions};
+use crate::exec::{implies_under, ExecConditions};
 use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
-use dscweaver_graph::annotated::{Dnf, Row};
+use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::iclosure::{
     compose_interned_row, interned_closure, irow_get, IRow, RowScratch,
 };
@@ -98,8 +98,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// How closures are compared (Definitions 4–5). Ordered from most to
 /// least conservative; all three agree on the paper's Purchasing process
-/// result *except* Strict, which keeps three extra edges (see the
-/// `ablation_minimize` bench).
+/// result *except* Strict, which keeps three extra edges (see
+/// `repro ext_b`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EquivalenceMode {
     /// Annotation-exact comparison (Definition 3's "the same ...
@@ -214,8 +214,8 @@ impl std::fmt::Display for MinimizeError {
 impl std::error::Error for MinimizeError {}
 
 /// Interning and memo-cache counters from one optimized-engine run.
-/// All-zero for the baseline and unconditional fast paths, which use
-/// neither a pool nor an `implies` cache.
+/// All-zero for the unconditional fast path, which uses neither a pool
+/// nor an `implies` cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MinimizeStats {
     /// Distinct DNFs interned in the [`DnfPool`] at the end of the run.
@@ -1078,8 +1078,8 @@ impl<'a> Engine<'a> {
 
 /// The generic §4.4 greedy algorithm with explicit [`MinimizeOptions`] —
 /// the optimized engine (interned annotations, bitset prefilters, scoped
-/// worker threads). Produces edge-for-edge the same minimal set as
-/// [`minimize_generic_baseline`].
+/// worker threads). Produces edge-for-edge the same minimal set as the
+/// sequential structural reference (`dscweaver_bench::oracle`).
 pub fn minimize_generic_with(
     cs: &ConstraintSet,
     exec: &ExecConditions,
@@ -1170,136 +1170,6 @@ pub fn minimize_generic_with(
     })
 }
 
-/// The sequential reference implementation of the §4.4 greedy algorithm —
-/// structural rows, no interning, no prefilters, no threads. Kept for the
-/// equivalence property tests and as the before-side of the `ext_a`
-/// benchmarks; [`minimize_generic_with`] must match it edge for edge.
-pub fn minimize_generic_baseline(
-    cs: &ConstraintSet,
-    exec: &ExecConditions,
-    mode: EquivalenceMode,
-    order: &EdgeOrder,
-) -> Result<MinimizeResult, MinimizeError> {
-    let sg = SyncGraph::build(cs);
-    let g = &sg.graph;
-
-    if let Some(cycle) = find_cycle(g) {
-        return Err(MinimizeError::Conflict {
-            cycle: cycle.iter().map(|&n| g.weight(n).label()).collect(),
-        });
-    }
-    let topo = topo_sort(g).expect("cycle-free graph must sort");
-    let mut topo_pos = vec![usize::MAX; g.node_bound()];
-    for (i, &n) in topo.iter().enumerate() {
-        topo_pos[n.index()] = i;
-    }
-
-    // Initial annotated closure.
-    let mut rows: Vec<Row<Condition>> =
-        dscweaver_graph::annotated_closure(g, &|_, w: &SyncEdge| w.cond.clone())
-            .expect("acyclic")
-            .into_rows();
-
-    // Execution condition of a node (service nodes: always).
-    let exec_of = |n: NodeId| -> Dnf<Condition> {
-        match g.weight(n) {
-            SyncNode::State(s) => exec.of(&s.activity),
-            SyncNode::Service(_) => Dnf::always(),
-        }
-    };
-
-    let candidates = order_candidates(g, &sg, order);
-
-    let mut removed_edges: HashSet<EdgeId> = HashSet::new();
-    let mut removed_rels: Vec<usize> = Vec::new();
-    let mut checked = 0usize;
-    // Dense scratch index: `scratch_of[n]` is the position of `n`'s
-    // freshly recomputed row in `new_rows`, or `usize::MAX`. Allocated
-    // once and reset per candidate (only the touched entries).
-    let mut scratch_of: Vec<usize> = vec![usize::MAX; g.node_bound()];
-
-    for (cand, rel_idx) in candidates {
-        checked += 1;
-        let (u, _) = g.endpoints(cand);
-
-        // Fast path: recompute the row of the edge's tail first. Rows of
-        // every other node depend on the graph only *through* u's row, so
-        // if it is unchanged the whole closure is unchanged (accept
-        // immediately), and if it is not even covered the removal is
-        // rejected without touching the ancestors.
-        let new_u = compose_without(g, u, cand, &removed_edges, &rows, &[], &scratch_of);
-        if new_u == rows[u.index()] {
-            // Closure untouched: the constraint was pure redundancy.
-            removed_edges.insert(cand);
-            removed_rels.push(rel_idx);
-            continue;
-        }
-        if !row_covered(&rows[u.index()], &new_u, mode, &exec_of(u), &exec_of, cs) {
-            continue; // load-bearing edge
-        }
-
-        // Slow path (rare): u's row weakened but stays covered — every
-        // ancestor's row must be rechecked.
-        let mut affected: Vec<NodeId> = Vec::new();
-        {
-            let mut seen = vec![false; g.node_bound()];
-            let mut stack = vec![u];
-            seen[u.index()] = true;
-            while let Some(x) = stack.pop() {
-                affected.push(x);
-                for e in g.in_edges(x) {
-                    if removed_edges.contains(&e) {
-                        continue;
-                    }
-                    let (p, _) = g.endpoints(e);
-                    if !seen[p.index()] {
-                        seen[p.index()] = true;
-                        stack.push(p);
-                    }
-                }
-            }
-        }
-        // Recompute affected rows in reverse topological order (the
-        // original order stays valid: we only ever delete edges).
-        affected.sort_by_key(|n| std::cmp::Reverse(topo_pos[n.index()]));
-        let mut new_rows: Vec<(NodeId, Row<Condition>)> = Vec::with_capacity(affected.len());
-        for &n in &affected {
-            let row = compose_without(g, n, cand, &removed_edges, &rows, &new_rows, &scratch_of);
-            scratch_of[n.index()] = new_rows.len();
-            new_rows.push((n, row));
-        }
-        for &n in &affected {
-            scratch_of[n.index()] = usize::MAX;
-        }
-
-        // Definition 4/5 check on every affected row.
-        let ok = new_rows.iter().all(|(n, new_row)| {
-            row_covered(&rows[n.index()], new_row, mode, &exec_of(*n), &exec_of, cs)
-        });
-
-        if ok {
-            removed_edges.insert(cand);
-            removed_rels.push(rel_idx);
-            for (n, row) in new_rows {
-                rows[n.index()] = row;
-            }
-        }
-    }
-
-    let removed_set: HashSet<usize> = removed_rels.iter().copied().collect();
-    let minimal = SyncGraph::subset(cs, &|i| !removed_set.contains(&i));
-    let removed = removed_rels
-        .iter()
-        .map(|&i| cs.relations[i].clone())
-        .collect();
-    Ok(MinimizeResult {
-        minimal,
-        removed,
-        candidates_checked: checked,
-        stats: MinimizeStats::default(),
-    })
-}
-
 /// Transitive-reduction fast path for unconditional constraint sets.
 ///
 /// An edge `u → v` is removable iff a two-or-more-step path `u ⇒ v`
@@ -1366,62 +1236,6 @@ pub fn minimize_unconditional_fast(
         candidates_checked: checked,
         stats: MinimizeStats::default(),
     })
-}
-
-/// Recomposes the closure row of `n` with edge `skip` (and every edge in
-/// `removed`) excluded. Successor rows come from `scratch` (freshly
-/// recomputed rows, located via the dense `scratch_of` index, `usize::MAX`
-/// meaning absent) when present, else from the stable `rows` table —
-/// successors outside the affected set are untouched by the removal.
-fn compose_without(
-    g: &DiGraph<SyncNode, SyncEdge>,
-    n: NodeId,
-    skip: EdgeId,
-    removed: &HashSet<EdgeId>,
-    rows: &[Row<Condition>],
-    scratch: &[(NodeId, Row<Condition>)],
-    scratch_of: &[usize],
-) -> Row<Condition> {
-    let mut row = Row::new();
-    for e in g.out_edges(n) {
-        if e == skip || removed.contains(&e) {
-            continue;
-        }
-        let (_, m) = g.endpoints(e);
-        let guard = g.edge_weight(e).cond.clone();
-        row.add_term(m, guard.clone().map(|c| vec![c]).unwrap_or_default());
-        let mrow: &Row<Condition> = match scratch_of[m.index()] {
-            usize::MAX => &rows[m.index()],
-            i => &scratch[i].1,
-        };
-        for (t, dnf) in mrow.iter() {
-            row.compose_from(t, dnf, guard.as_ref());
-        }
-    }
-    row
-}
-
-/// Is `old`'s row covered by `new` under `mode`? (`new` ⊆ `old` pointwise
-/// holds by construction — removal only loses paths — so this is the whole
-/// equivalence check.)
-fn row_covered(
-    old: &Row<Condition>,
-    new: &Row<Condition>,
-    mode: EquivalenceMode,
-    src_exec: &Dnf<Condition>,
-    exec_of: &dyn Fn(NodeId) -> Dnf<Condition>,
-    cs: &ConstraintSet,
-) -> bool {
-    match mode {
-        EquivalenceMode::Strict => old == new,
-        EquivalenceMode::ExecutionAware => old.iter().all(|(t, old_dnf)| {
-            let empty = Dnf::empty();
-            let new_dnf = new.get(t).unwrap_or(&empty);
-            let ctx = dnf_and(src_exec, &exec_of(t));
-            implies_under(&ctx, old_dnf, new_dnf, &cs.domains)
-        }),
-        EquivalenceMode::Reachability => old.iter().all(|(t, _)| new.reaches(t)),
-    }
 }
 
 #[cfg(test)]
@@ -1617,14 +1431,6 @@ mod tests {
             .unwrap_err();
         let MinimizeError::Conflict { cycle } = err;
         assert!(cycle.len() >= 3);
-        // Baseline reports the same conflict.
-        assert!(minimize_generic_baseline(
-            &cs,
-            &exec,
-            EquivalenceMode::Strict,
-            &EdgeOrder::default()
-        )
-        .is_err());
     }
 
     #[test]
@@ -1690,129 +1496,6 @@ mod tests {
         // edge is load-bearing.
         assert_eq!(res.kept(), 1);
         assert_eq!(res.minimal.relations[0].origin(), Origin::Data);
-    }
-
-    #[test]
-    fn fast_path_agrees_with_generic_on_unconditional_sets() {
-        // Deterministic pseudo-random unconditional DAGs: the dispatch
-        // (fast path), the optimized generic engine, and the sequential
-        // baseline must keep exactly the same relations.
-        let mut x: u64 = 0xD1B54A32D192ED03;
-        let mut rnd = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for case in 0..20 {
-            let n = 4 + (case % 5);
-            let names: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
-            let mut cs = ConstraintSet::new("rand");
-            for a in &names {
-                cs.add_activity(a.clone());
-            }
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if rnd() % 3 == 0 {
-                        let origin = if rnd() % 2 == 0 {
-                            Origin::Data
-                        } else {
-                            Origin::Cooperation
-                        };
-                        cs.push(Relation::before(
-                            StateRef::finish(&names[i]),
-                            StateRef::start(&names[j]),
-                            origin,
-                        ));
-                    }
-                }
-            }
-            let exec = ExecConditions::derive(&cs);
-            for order in [EdgeOrder::Given, EdgeOrder::ReverseGiven, EdgeOrder::default()] {
-                let fast = minimize_unconditional_fast(&cs, &order).unwrap();
-                let generic =
-                    minimize_generic(&cs, &exec, EquivalenceMode::Strict, &order).unwrap();
-                let baseline =
-                    minimize_generic_baseline(&cs, &exec, EquivalenceMode::Strict, &order)
-                        .unwrap();
-                assert_eq!(
-                    kept_set(&fast),
-                    kept_set(&generic),
-                    "case {case}, order {order:?}"
-                );
-                assert_eq!(
-                    kept_set(&generic),
-                    kept_set(&baseline),
-                    "case {case}, order {order:?} (baseline)"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engine_agrees_with_baseline_on_conditional_sets() {
-        // Hand-built conditional sets covering the prefilter edge cases:
-        // same-guard duplicates, guarded shortcut chains, branch joins.
-        let mut cs = cs_with(
-            &["a", "g", "x", "y", "j", "z"],
-            vec![
-                before("a", "g", Origin::Data),
-                Relation::before_if(
-                    StateRef::finish("g"),
-                    StateRef::start("x"),
-                    Condition::new("g", "T"),
-                    Origin::Control,
-                ),
-                Relation::before_if(
-                    StateRef::finish("g"),
-                    StateRef::start("y"),
-                    Condition::new("g", "F"),
-                    Origin::Control,
-                ),
-                before("x", "j", Origin::Data),
-                before("y", "j", Origin::Data),
-                before("g", "j", Origin::Control),
-                before("a", "j", Origin::Cooperation),
-                Relation::before_if(
-                    StateRef::finish("g"),
-                    StateRef::start("z"),
-                    Condition::new("g", "T"),
-                    Origin::Data,
-                ),
-                Relation::before_if(
-                    StateRef::finish("g"),
-                    StateRef::start("z"),
-                    Condition::new("g", "T"),
-                    Origin::Cooperation,
-                ),
-            ],
-        );
-        cs.add_domain("g", vec!["T".into(), "F".into()]);
-        let exec = ExecConditions::derive(&cs);
-        for mode in [
-            EquivalenceMode::Strict,
-            EquivalenceMode::ExecutionAware,
-            EquivalenceMode::Reachability,
-        ] {
-            for order in [EdgeOrder::Given, EdgeOrder::ReverseGiven, EdgeOrder::default()] {
-                for threads in [1usize, 4] {
-                    let opts = MinimizeOptions {
-                        threads,
-                        ..Default::default()
-                    };
-                    let engine =
-                        minimize_generic_with(&cs, &exec, mode, &order, &opts).unwrap();
-                    let baseline =
-                        minimize_generic_baseline(&cs, &exec, mode, &order).unwrap();
-                    assert_eq!(
-                        kept_set(&engine),
-                        kept_set(&baseline),
-                        "mode {mode:?}, order {order:?}, threads {threads}"
-                    );
-                    assert_eq!(engine.removed.len(), baseline.removed.len());
-                }
-            }
-        }
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl SyncGraph {
     }
 
     /// The guard-extraction view used with
-    /// [`dscweaver_graph::annotated_closure`]: conditional constraint edges
+    /// [`dscweaver_graph::interned_closure`]: conditional constraint edges
     /// carry their [`Condition`] as the guard.
     pub fn guard_of(_e: EdgeId, w: &SyncEdge) -> Option<Condition> {
         w.cond.clone()

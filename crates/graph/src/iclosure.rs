@@ -1,14 +1,13 @@
 //! Interned, level-parallel condition-annotated closure (Definition 3).
 //!
-//! [`crate::annotated::annotated_closure`] builds structural
-//! [`Dnf`](crate::annotated::Dnf) rows
-//! and leaves interning to the caller — every annotation is materialized,
-//! cloned through `BTreeMap` accumulators, and hashed again when the
-//! minimizer pools it. This module builds the same closure **directly in
-//! interned form**: rows are sorted `(target, DnfId)` vectors from the
-//! start, every union/compose goes through the pool's memo tables, and
-//! the per-row accumulator is a dense scratch array instead of an ordered
-//! map. On top of that, the DAG is swept level by level (longest path to
+//! A structural closure keeps one `BTreeMap` of
+//! [`Dnf`](crate::annotated::Dnf) annotations per row and leaves interning
+//! to the caller — every annotation is materialized, cloned through the
+//! accumulators, and hashed again when the minimizer pools it. This module
+//! builds the closure **directly in interned form**: rows are sorted
+//! `(target, DnfId)` vectors from the start, every union/compose goes
+//! through the pool's memo tables, and the per-row accumulator is a dense
+//! scratch array instead of an ordered map. On top of that, the DAG is swept level by level (longest path to
 //! a sink), and wide levels fan out to the [`crate::par`] worker pool:
 //! a node's row only reads rows of strictly smaller levels, so levels
 //! are natural barriers.
@@ -22,12 +21,12 @@
 //! bit for bit — identical for every thread count, including the fully
 //! sequential path.
 //!
-//! Cyclic inputs: [`interned_closure`] mirrors `annotated_closure` and
-//! returns the [`CycleError`] untouched (the optimizer treats cycles as
-//! specification conflicts), while [`interned_closure_condensed`] falls
-//! back to the shared SCC condensation ([`crate::closure::condense`]) and
-//! a per-component least fixpoint, exactly like
-//! [`crate::annotated::annotated_closure_condensed`].
+//! Cyclic inputs: [`interned_closure`] returns the [`CycleError`]
+//! untouched (the optimizer treats cycles as specification conflicts),
+//! while [`interned_closure_condensed`] falls back to the shared SCC
+//! condensation ([`crate::closure::condense`]) and a per-component least
+//! fixpoint (iterate until no row grows). Members of a cyclic component
+//! reach themselves.
 //!
 //! ```
 //! use dscweaver_graph::{interned_closure, irow_get, DiGraph, DnfPool};
@@ -267,8 +266,7 @@ where
 /// worker deltas are merged in deterministic window order, so even the
 /// pool's id numbering matches the sequential sweep.
 ///
-/// Returns the cycle error untouched for cyclic inputs, mirroring
-/// [`crate::annotated::annotated_closure`]; use
+/// Returns the cycle error untouched for cyclic inputs; use
 /// [`interned_closure_condensed`] for the SCC fallback.
 pub fn interned_closure<N: Sync, E: Sync, G>(
     g: &DiGraph<N, E>,
@@ -625,7 +623,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotated::{annotated_closure, Dnf};
+    use crate::annotated::Dnf;
     use crate::digraph::EdgeId;
 
     type G = (u32, bool);
@@ -652,25 +650,6 @@ mod tests {
         g.add_edge(b, d, None);
         g.add_edge(c, d, None);
         g
-    }
-
-    #[test]
-    fn matches_structural_closure() {
-        let g = diamond();
-        let mut pool = DnfPool::new();
-        let (rows, stats) = interned_closure(&g, &guard_of(), &mut pool, 1).unwrap();
-        let structural = annotated_closure(&g, &guard_of()).unwrap();
-        for (ni, srow) in structural.rows().iter().enumerate() {
-            let expect: Vec<(u32, Dnf<G>)> =
-                srow.iter().map(|(t, d)| (t.0, d.clone())).collect();
-            let got: Vec<(u32, Dnf<G>)> = rows[ni]
-                .iter()
-                .map(|&(t, d)| (t, pool.dnf(d).clone()))
-                .collect();
-            assert_eq!(got, expect, "row {ni}");
-        }
-        assert_eq!(stats.rows, 4);
-        assert!(stats.levels >= 3);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   removal (service-dependency translation removes external nodes in
 //!   place).
 //! * [`closure`] — plain transitive closure (bitset rows).
-//! * [`annotated`] — the paper's Definition 3: **condition-annotated**
-//!   transitive closure, where activities reached through conditional
-//!   constraints carry their guard annotations.
+//! * [`annotated`] — the annotation algebra of the paper's Definition 3:
+//!   guard DNFs for **condition-annotated** transitive closure, where
+//!   activities reached through conditional constraints carry their guard
+//!   annotations.
 //! * [`reduction`] — transitive reduction, the fast path for minimal
 //!   constraint sets on unconditional DAGs (Definition 6).
 //! * [`scc`] / [`topo`] — conflict (cycle) detection and DAG orderings.
@@ -48,9 +49,7 @@ pub mod scc;
 pub mod topo;
 pub mod visit;
 
-pub use annotated::{
-    annotated_closure, annotated_closure_condensed, AnnotatedClosure, Dnf, GuardSet, Row,
-};
+pub use annotated::{Dnf, GuardSet};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
     compose_interned_row, interned_closure, interned_closure_condensed, interned_closure_delta,

@@ -1,14 +1,14 @@
 //! Equivalence of the interned closure engine (`iclosure`) against the
-//! structural `annotated_closure` reference: row-for-row identical
+//! structural `annotated_closure` reference (`dscweaver_bench::oracle`): row-for-row identical
 //! results across thread counts {1, 2, 4, 8} and graph shapes (layered,
 //! fork-join, dense-conditional, cyclic via the shared SCC condensation),
 //! with bitwise-stable pool numbering at every thread count.
 
-use dscweaver_graph::annotated::Dnf;
-use dscweaver_graph::{
-    annotated_closure, annotated_closure_condensed, interned_closure,
-    interned_closure_condensed, AnnotatedClosure, DiGraph, DnfPool, IRow, NodeId,
+use dscweaver_bench::oracle::closure::{
+    annotated_closure, annotated_closure_condensed, AnnotatedClosure,
 };
+use dscweaver_graph::annotated::Dnf;
+use dscweaver_graph::{interned_closure, interned_closure_condensed, DiGraph, DnfPool, IRow, NodeId};
 use dscweaver_prng::Rng;
 
 type G = DiGraph<(), Option<u8>>;
@@ -241,4 +241,35 @@ fn mixed_cycle_and_dag_tail_close_identically() {
     let mut want = Dnf::empty();
     want.insert(vec![1u8]);
     assert_eq!(a_to_e, want, "a → e must require the bridge guard");
+}
+
+/// The guarded diamond `a →_T b → d`, `a →_F c → d` with `(node, branch)`
+/// guards: the sequential interned closure resolves to the structural
+/// rows entry for entry, in four rows over at least three levels.
+#[test]
+fn diamond_matches_structural_closure() {
+    type Gd = (u32, bool);
+    let guard_of = |_, w: &Option<Gd>| *w;
+    let mut g: DiGraph<(), Option<Gd>> = DiGraph::new();
+    let a = g.add_node(());
+    let b = g.add_node(());
+    let c = g.add_node(());
+    let d = g.add_node(());
+    g.add_edge(a, b, Some((a.0, true)));
+    g.add_edge(a, c, Some((a.0, false)));
+    g.add_edge(b, d, None);
+    g.add_edge(c, d, None);
+    let mut pool = DnfPool::new();
+    let (rows, stats) = interned_closure(&g, &guard_of, &mut pool, 1).unwrap();
+    let structural = annotated_closure(&g, &guard_of).unwrap();
+    for (ni, srow) in structural.rows().iter().enumerate() {
+        let expect: Vec<(u32, Dnf<Gd>)> = srow.iter().map(|(t, d)| (t.0, d.clone())).collect();
+        let got: Vec<(u32, Dnf<Gd>)> = rows[ni]
+            .iter()
+            .map(|&(t, d)| (t, pool.dnf(d).clone()))
+            .collect();
+        assert_eq!(got, expect, "row {ni}");
+    }
+    assert_eq!(stats.rows, 4);
+    assert!(stats.levels >= 3);
 }

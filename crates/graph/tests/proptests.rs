@@ -1,10 +1,11 @@
 //! Property-based tests over the graph substrate's core invariants,
 //! driven by the in-repo deterministic PRNG.
 
+use dscweaver_bench::oracle::closure::annotated_closure;
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
-    annotated_closure, max_antichain, max_layer_width, topo_sort, transitive_closure,
-    transitive_reduction, DiGraph, DnfPool, NodeId,
+    max_antichain, max_layer_width, topo_sort, transitive_closure, transitive_reduction, DiGraph,
+    DnfPool, NodeId,
 };
 use dscweaver_prng::Rng;
 

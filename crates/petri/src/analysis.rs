@@ -16,12 +16,12 @@
 //!    scale past the interleaving explosion.
 //!
 //! Full interleaving reachability is not a validation layer: callers that
-//! want the state space of a lowered net call [`crate::reach::explore`] or
-//! [`crate::reach::explore_with`] on it directly.
+//! want the state space of a lowered net call [`crate::reach::explore_with`]
+//! on it directly.
 
 use crate::lower::{lower, LoweredNet};
 use crate::prepared::{guard_groups, PreparedNet, WavefrontTables};
-use crate::reach::{assignment_chooser, run_to_quiescence};
+use crate::reach::assignment_chooser;
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ConstraintSet, SyncGraph};
 use dscweaver_graph::{effective_threads, find_cycle, par_ranges};
@@ -143,11 +143,6 @@ pub struct ValidateOptions {
     /// is bit-identical either way (failures merge in
     /// assignment-lexicographic window order).
     pub threads: usize,
-    /// Run each assignment on the legacy full-rescan simulator instead of
-    /// the wavefront worklist. Results are identical; the flag exists so
-    /// `BENCH_petri.json` and the equivalence tests can measure the old
-    /// engine through the same entry point.
-    pub rescan_baseline: bool,
     /// When to enumerate independent guard groups separately (see
     /// [`guard_groups`] and [`FactorPolicy`]): each group's assignment
     /// sub-space is checked with the other guards pinned to their first
@@ -185,7 +180,6 @@ impl Default for ValidateOptions {
             max_assignments: 4096,
             max_steps: 1_000_000,
             threads: 0,
-            rescan_baseline: false,
             factor: FactorPolicy::Auto,
         }
     }
@@ -302,12 +296,11 @@ fn run_compiled(
     // over the plan's guards, so any contiguous window of indices is an
     // independent work unit. Window results concatenate back in
     // assignment-lexicographic order, making the failure list
-    // bit-identical for any thread count. The wavefront path runs inside
-    // the caller's session (one scratch marking per pool worker); the
-    // rescan baseline stays a fresh per-run simulation.
+    // bit-identical for any thread count. Each run reuses the caller's
+    // session (one scratch marking per pool worker).
     let run_one = |plan: &[usize],
                    i: usize,
-                   session: Option<&mut crate::prepared::NetSession>|
+                   session: &mut crate::prepared::NetSession|
      -> Option<AssignmentFailure> {
         let mut idx = vec![0usize; guards.len()];
         let mut rest = i;
@@ -321,12 +314,7 @@ fn run_compiled(
             .zip(&idx)
             .map(|((g, dom), &i)| (format!("finish({g})"), dom[i].clone()))
             .collect();
-        let run = match session {
-            Some(s) => s.run(assignment_chooser(&assignment), opts.max_steps),
-            None => {
-                run_to_quiescence(&lowered.net, assignment_chooser(&assignment), opts.max_steps)
-            }
-        };
+        let run = session.run(assignment_chooser(&assignment), opts.max_steps);
         if run.diverged || !lowered.is_final(&run.final_marking) {
             Some(AssignmentFailure {
                 assignment: guards
@@ -366,14 +354,9 @@ fn run_compiled(
         }
         failures.extend(
             par_ranges(threads, plan_to_check, &|r| {
-                if opts.rescan_baseline {
-                    r.filter_map(|i| run_one(plan, i, None))
-                        .collect::<Vec<AssignmentFailure>>()
-                } else {
-                    let mut session = prep.session();
-                    r.filter_map(|i| run_one(plan, i, Some(&mut session)))
-                        .collect()
-                }
+                let mut session = prep.session();
+                r.filter_map(|i| run_one(plan, i, &mut session))
+                    .collect::<Vec<AssignmentFailure>>()
             })
             .into_iter()
             .flatten(),

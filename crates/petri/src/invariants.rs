@@ -217,7 +217,7 @@ mod tests {
     use super::*;
     use crate::lower::lower;
     use crate::net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net};
-    use crate::reach::explore;
+    use crate::reach::explore_with;
     use dscweaver_core::ExecConditions;
     use dscweaver_dscl::{ConstraintSet, Origin, Relation, StateRef};
 
@@ -333,7 +333,7 @@ mod tests {
         // The per-activity lifecycle combination is in the invariant span:
         // check directly that todo+run+done stays 1 on every reachable
         // marking, and that every computed invariant holds everywhere.
-        let reach = explore(&lowered.net, 100_000);
+        let reach = explore_with(&lowered.net, 100_000, 1);
         assert!(!reach.truncated);
         let mut all: Vec<Marking> = reach.terminal.clone();
         all.push(lowered.net.initial.clone());

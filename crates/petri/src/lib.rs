@@ -7,14 +7,14 @@
 //! and the layered validation pipeline (structural conflicts →
 //! per-assignment simulation).
 //!
-//! Two engines run the per-assignment simulations: the legacy full-rescan
-//! loop ([`run_to_quiescence`]) and the wavefront worklist
-//! ([`run_to_quiescence_wavefront`]), pinned bit-identical by property
-//! tests. For replaying one net many times, [`PreparedNet`] compiles the
-//! wavefront's derived tables once and [`NetSession`] reuses scratch
-//! state across runs; [`guard_groups`] factors independent guards so
-//! [`validate`] can enumerate additive sub-spaces instead of the full
-//! multiplicative product (see [`ValidateOptions::factor`]).
+//! The per-assignment simulations run on the wavefront worklist
+//! ([`run_to_quiescence_wavefront`]), pinned bit-identical to a
+//! full-rescan reference loop by property tests. For replaying one net
+//! many times, [`PreparedNet`] compiles the wavefront's derived tables
+//! once and [`NetSession`] reuses scratch state across runs;
+//! [`guard_groups`] factors independent guards so [`validate`] can
+//! enumerate additive sub-spaces instead of the full multiplicative
+//! product (see [`ValidateOptions::factor`]).
 //!
 //! ```
 //! use dscweaver_core::ExecConditions;
@@ -61,7 +61,4 @@ pub use invariants::{check_invariants, place_invariants, PlaceInvariant};
 pub use lower::{lower, ActivityNodes, LoweredNet, SKIP};
 pub use net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};
 pub use prepared::{guard_groups, NetSession, PreparedNet, WavefrontTables};
-pub use reach::{
-    assignment_chooser, explore, explore_with, run_to_quiescence, run_to_quiescence_wavefront,
-    Reachability, Run,
-};
+pub use reach::{assignment_chooser, explore_with, run_to_quiescence_wavefront, Reachability, Run};

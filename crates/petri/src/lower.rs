@@ -402,7 +402,7 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reach::{assignment_chooser, explore, run_to_quiescence};
+    use crate::reach::{assignment_chooser, explore_with, run_to_quiescence_wavefront};
     use dscweaver_dscl::{Condition, Origin, StateRef};
     use std::collections::HashMap;
 
@@ -428,7 +428,7 @@ mod tests {
             Origin::Data,
         ));
         let l = lowered(&cs);
-        let run = run_to_quiescence(&l.net, |_, _, e| e[0], 1000);
+        let run = run_to_quiescence_wavefront(&l.net, |_, _, e| e[0], 1000);
         assert!(!run.diverged);
         assert!(l.is_final(&run.final_marking), "{}", l.net.render_marking(&run.final_marking));
         // Ordering: start(b) fires after finish(a).
@@ -481,7 +481,7 @@ mod tests {
         for (value, runs, skips) in [("T", "x", "y"), ("F", "y", "x")] {
             let assignment: HashMap<String, String> =
                 [("finish(g)".to_string(), value.to_string())].into();
-            let run = run_to_quiescence(&l.net, assignment_chooser(&assignment), 1000);
+            let run = run_to_quiescence_wavefront(&l.net, assignment_chooser(&assignment), 1000);
             assert!(!run.diverged);
             assert!(
                 l.is_final(&run.final_marking),
@@ -519,7 +519,7 @@ mod tests {
         let l = lowered(&cs);
         let assignment: HashMap<String, String> =
             [("finish(g)".to_string(), "F".to_string())].into();
-        let run = run_to_quiescence(&l.net, assignment_chooser(&assignment), 1000);
+        let run = run_to_quiescence_wavefront(&l.net, assignment_chooser(&assignment), 1000);
         assert!(l.is_final(&run.final_marking));
         let pos = |name: &str| {
             run.trace
@@ -555,7 +555,7 @@ mod tests {
         let l = lowered(&cs);
         let assignment: HashMap<String, String> =
             [("finish(g1)".to_string(), "F".to_string())].into();
-        let run = run_to_quiescence(&l.net, assignment_chooser(&assignment), 1000);
+        let run = run_to_quiescence_wavefront(&l.net, assignment_chooser(&assignment), 1000);
         assert!(
             l.is_final(&run.final_marking),
             "{}",
@@ -579,7 +579,7 @@ mod tests {
             Origin::Cooperation,
         ));
         let l = lowered(&cs);
-        let run = run_to_quiescence(&l.net, |_, _, e| e[0], 100);
+        let run = run_to_quiescence_wavefront(&l.net, |_, _, e| e[0], 100);
         assert!(l.is_final(&run.final_marking));
         let pos = |name: &str| {
             run.trace
@@ -606,7 +606,7 @@ mod tests {
             ));
         }
         let l = lowered(&cs);
-        let r = explore(&l.net, 100_000);
+        let r = explore_with(&l.net, 100_000, 1);
         assert!(!r.truncated);
         assert_eq!(r.terminal.len(), 1, "confluence");
         assert!(l.is_final(&r.terminal[0]));

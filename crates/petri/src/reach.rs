@@ -2,18 +2,17 @@
 //! and a deterministic maximal-step simulator for the conflict-free nets
 //! the DSCL lowering produces.
 //!
-//! Both analyses come in two flavors sharing one result type: the original
-//! full-rescan/FIFO implementations ([`run_to_quiescence`], [`explore`])
-//! and the optimized ones ([`run_to_quiescence_wavefront`],
-//! [`explore_with`]) — a dirty-transition worklist that skips the `O(T)`
-//! sweep rescans, and a frontier-layered BFS whose per-marking expansion
-//! fans out on the shared [`dscweaver_graph::par`] pool. Each pair is
-//! pinned bit-identical (trace for trace, marking for marking) by the
-//! `par_equivalence` property tests.
+//! [`run_to_quiescence_wavefront`] is a dirty-transition worklist that
+//! skips the `O(T)` sweep rescans of the original full-rescan simulator;
+//! [`explore_with`] is a frontier-layered BFS whose per-marking expansion
+//! fans out on the shared [`dscweaver_graph::par`] pool. Both are pinned
+//! bit-identical (trace for trace, marking for marking) to the original
+//! full-rescan/FIFO implementations, which live in `dscweaver_bench::oracle`,
+//! by the `par_equivalence` property tests.
 
 use crate::net::{Color, Marking, Net, TransitionId};
 use dscweaver_graph::par_map;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Result of bounded reachability exploration.
 #[derive(Clone, Debug)]
@@ -30,54 +29,6 @@ pub struct Reachability {
     /// Largest token count observed in any single place (boundedness
     /// witness).
     pub max_place_tokens: u32,
-}
-
-/// Explores the reachability graph breadth-first up to `max_states`
-/// distinct markings.
-pub fn explore(net: &Net, max_states: usize) -> Reachability {
-    let mut seen: HashSet<Marking> = HashSet::new();
-    let mut queue: VecDeque<Marking> = VecDeque::new();
-    let mut terminal = Vec::new();
-    let mut fired = HashSet::new();
-    let mut truncated = false;
-    let mut max_place_tokens = 0;
-
-    seen.insert(net.initial.clone());
-    queue.push_back(net.initial.clone());
-
-    while let Some(m) = queue.pop_front() {
-        for p in m.marked_places() {
-            max_place_tokens = max_place_tokens.max(m.total(p));
-        }
-        let mut any = false;
-        for t in net.transition_ids() {
-            for mode in 0..net.transitions[t.0 as usize].modes.len() {
-                for binding in net.enabled_bindings(&m, t, mode) {
-                    any = true;
-                    fired.insert(t);
-                    let next = net.fire(&m, t, mode, &binding);
-                    if !seen.contains(&next) {
-                        if seen.len() >= max_states {
-                            truncated = true;
-                            continue;
-                        }
-                        seen.insert(next.clone());
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        if !any {
-            terminal.push(m);
-        }
-    }
-    Reachability {
-        states: seen.len(),
-        truncated,
-        terminal,
-        fired,
-        max_place_tokens,
-    }
 }
 
 /// What expanding one marking yields — computed purely, so a whole BFS
@@ -107,8 +58,9 @@ fn expand(net: &Net, m: &Marking) -> Expansion {
     Expansion { peak, succs }
 }
 
-/// [`explore`] with the per-marking expansion of each BFS frontier layer
-/// fanned out over `threads` scoped workers (`0` = auto, `1` =
+/// Explores the reachability graph breadth-first up to `max_states`
+/// distinct markings, with the per-marking expansion of each BFS frontier
+/// layer fanned out over `threads` scoped workers (`0` = auto, `1` =
 /// sequential). A FIFO queue visits markings in layer order, so expanding
 /// a whole layer concurrently and merging the expansions *in frontier
 /// order* replays the sequential seen-set insertion order exactly — the
@@ -168,69 +120,6 @@ pub struct Run {
     pub diverged: bool,
 }
 
-/// Runs the net to quiescence, repeatedly firing any enabled transition.
-///
-/// `choose_mode` resolves nondeterministic *choices* (a transition with
-/// several enabled modes — the lowering's branch environments): it
-/// receives the transition and the enabled mode indices and picks one.
-/// For the conflict-free nets the DSCL lowering produces, the final
-/// marking is independent of firing order once modes are fixed
-/// (confluence), which the tests exercise.
-pub fn run_to_quiescence(
-    net: &Net,
-    mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
-    max_steps: usize,
-) -> Run {
-    let mut m = net.initial.clone();
-    let mut trace = Vec::new();
-    let mut steps = 0;
-    // Remember branch decisions so a transition choosing mode X keeps
-    // choosing X if it ever fires again (loop bodies).
-    let mut decided: HashMap<TransitionId, usize> = HashMap::new();
-    loop {
-        if steps >= max_steps {
-            return Run {
-                final_marking: m,
-                trace,
-                diverged: true,
-            };
-        }
-        let mut progressed = false;
-        for t in net.transition_ids() {
-            let enabled: Vec<usize> = (0..net.transitions[t.0 as usize].modes.len())
-                .filter(|&mi| !net.enabled_bindings(&m, t, mi).is_empty())
-                .collect();
-            if enabled.is_empty() {
-                continue;
-            }
-            let mode = match decided.get(&t) {
-                Some(&mi) if enabled.contains(&mi) => mi,
-                _ => {
-                    let mi = if enabled.len() == 1 {
-                        enabled[0]
-                    } else {
-                        choose_mode(net, t, &enabled)
-                    };
-                    decided.insert(t, mi);
-                    mi
-                }
-            };
-            let binding = net.enabled_bindings(&m, t, mode).remove(0);
-            m = net.fire(&m, t, mode, &binding);
-            trace.push((t, net.transitions[t.0 as usize].modes[mode].label.clone()));
-            progressed = true;
-            steps += 1;
-        }
-        if !progressed {
-            return Run {
-                final_marking: m,
-                trace,
-                diverged: false,
-            };
-        }
-    }
-}
-
 /// The lexicographically smallest enabled binding of one mode, or `None`
 /// if the mode is disabled — equivalent to `enabled_bindings(..)[0]`
 /// (bindings are emitted sorted), but clone-free on the common case.
@@ -264,9 +153,18 @@ pub(crate) fn first_binding(
     }
 }
 
-/// [`run_to_quiescence`] without the `O(T)` sweep rescans: a sorted
-/// dirty-transition worklist, with clone-free enabledness probes and
-/// in-place firing.
+/// Runs the net to quiescence, repeatedly firing any enabled transition.
+///
+/// `choose_mode` resolves nondeterministic *choices* (a transition with
+/// several enabled modes — the lowering's branch environments): it
+/// receives the transition and the enabled mode indices and picks one.
+/// For the conflict-free nets the DSCL lowering produces, the final
+/// marking is independent of firing order once modes are fixed
+/// (confluence), which the tests exercise.
+///
+/// The firing sequence is that of a full-rescan loop, without its `O(T)`
+/// sweep rescans: a sorted dirty-transition worklist, with clone-free
+/// enabledness probes and in-place firing.
 ///
 /// The rescan loop re-checks every transition each sweep, but a transition
 /// found disabled can only become enabled again when a later firing adds
@@ -354,7 +252,7 @@ mod tests {
     #[test]
     fn chain_reachability() {
         let net = chain(5);
-        let r = explore(&net, 1000);
+        let r = explore_with(&net, 1000, 1);
         assert_eq!(r.states, 6);
         assert!(!r.truncated);
         assert_eq!(r.terminal.len(), 1);
@@ -365,7 +263,7 @@ mod tests {
     #[test]
     fn truncation_reported() {
         let net = chain(50);
-        let r = explore(&net, 10);
+        let r = explore_with(&net, 10, 1);
         assert!(r.truncated);
         assert!(r.states <= 10);
     }
@@ -391,7 +289,7 @@ mod tests {
             }],
         );
         net.initial.add(p, Color::of("F"));
-        let r = explore(&net, 100);
+        let r = explore_with(&net, 100, 1);
         assert_eq!(r.terminal.len(), 1);
         assert!(r.fired.is_empty(), "the transition is dead");
         assert_eq!(r.terminal[0].count(PlaceOf(0), &Color::of("F")), 1);
@@ -404,7 +302,7 @@ mod tests {
     #[test]
     fn quiescent_run_on_chain() {
         let net = chain(4);
-        let run = run_to_quiescence(&net, |_, _, e| e[0], 1000);
+        let run = run_to_quiescence_wavefront(&net, |_, _, e| e[0], 1000);
         assert!(!run.diverged);
         assert_eq!(run.trace.len(), 4);
         assert_eq!(run.final_marking.grand_total(), 1);
@@ -430,7 +328,7 @@ mod tests {
             }],
         );
         net.initial.add(p, Color::unit());
-        let run = run_to_quiescence(&net, |_, _, e| e[0], 50);
+        let run = run_to_quiescence_wavefront(&net, |_, _, e| e[0], 50);
         assert!(run.diverged);
     }
 
@@ -505,7 +403,7 @@ mod tests {
         net.initial.add(p, Color::unit());
         let assignment: HashMap<String, String> =
             [("branch".to_string(), "F".to_string())].into();
-        let run = run_to_quiescence(&net, assignment_chooser(&assignment), 10);
+        let run = run_to_quiescence_wavefront(&net, assignment_chooser(&assignment), 10);
         assert_eq!(run.trace, vec![(TransitionId(0), "F".to_string())]);
         assert_eq!(run.final_marking.count(crate::net::PlaceId(1), &Color::of("F")), 1);
     }

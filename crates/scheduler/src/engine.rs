@@ -5,21 +5,16 @@
 //! dead-path elimination for conditional regions and dynamic checking of
 //! Exclusive constraints (§4.2).
 //!
-//! Two engines share the event loop skeleton and produce identical traces:
-//!
-//! * [`simulate`] — the wavefront engine. Per-tick readiness is driven by a
-//!   dependency-counting agenda (only activities whose watched states or
-//!   guards changed are re-evaluated), and each agenda sweep's pure
-//!   guard-evaluation batch runs on the shared worker pool
-//!   (`dscweaver_graph::par_map`). The trace is bit-identical for any
-//!   `SimConfig::threads` value.
-//! * [`simulate_rescan_baseline`] — the original engine: every commit pass
-//!   linearly rescans all activities. Kept as the measured baseline for
-//!   `BENCH_scheduler.json` and the equivalence property tests.
-//!
-//! The engines agree on the trace and on `stuck`; they intentionally differ
-//! on `constraint_checks` — the agenda is the point: unchanged activities
-//! are not re-checked, so the wavefront engine performs strictly fewer
+//! [`simulate`] is the wavefront engine. Per-tick readiness is driven by a
+//! dependency-counting agenda (only activities whose watched states or
+//! guards changed are re-evaluated), and each agenda sweep's pure
+//! guard-evaluation batch runs on the shared worker pool
+//! (`dscweaver_graph::par_map`). The trace is bit-identical for any
+//! `SimConfig::threads` value, and identical to a full-rescan reference
+//! engine (every commit pass rescans all activities; it lives in
+//! `dscweaver_bench::oracle`). The two intentionally differ on
+//! `constraint_checks` — the agenda is the point: unchanged activities are
+//! not re-checked, so the wavefront engine performs strictly fewer
 //! satisfaction checks on sparse processes.
 
 use crate::trace::{EventKind, Time, Trace, TraceEvent};
@@ -673,215 +668,6 @@ pub fn simulate(cs: &ConstraintSet, exec: &ExecConditions, config: &SimConfig) -
     PreparedSchedule::new(cs, exec).run(config)
 }
 
-/// The original engine: every commit pass linearly rescans all activities.
-///
-/// Kept (unchanged in behavior) as the measured baseline for
-/// `BENCH_scheduler.json` and as the reference the wavefront engine's
-/// equivalence property tests compare against. Produces the same trace and
-/// `stuck` as [`simulate`]; `constraint_checks` is higher because every
-/// pass re-checks activities whose inputs did not change.
-pub fn simulate_rescan_baseline(
-    cs: &ConstraintSet,
-    exec: &ExecConditions,
-    config: &SimConfig,
-) -> Schedule {
-    // Indexing.
-    let mut start_prereqs: HashMap<&str, Vec<Prereq>> = HashMap::new();
-    let mut finish_prereqs: HashMap<&str, Vec<Prereq>> = HashMap::new();
-    for a in &cs.activities {
-        start_prereqs.insert(a, Vec::new());
-        finish_prereqs.insert(a, Vec::new());
-    }
-    for r in &cs.relations {
-        if let Relation::HappenBefore { from, to, cond, .. } = r {
-            let p = Prereq {
-                producer: from.clone(),
-                cond: cond.clone(),
-            };
-            let bucket = match to.state {
-                ActivityState::Start | ActivityState::Run => &mut start_prereqs,
-                ActivityState::Finish => &mut finish_prereqs,
-            };
-            if let Some(v) = bucket.get_mut(to.activity.as_str()) {
-                v.push(p);
-            }
-        }
-    }
-    // Exclusive partner sets.
-    let mut exclusive: HashMap<&str, Vec<&str>> = HashMap::new();
-    for (x, y) in cs.exclusives() {
-        exclusive
-            .entry(x.activity.as_str())
-            .or_default()
-            .push(y.activity.as_str());
-        exclusive
-            .entry(y.activity.as_str())
-            .or_default()
-            .push(x.activity.as_str());
-    }
-
-    // Dynamic state.
-    let mut resolved: HashMap<StateRef, (Time, u64)> = HashMap::new();
-    let mut outcome: HashMap<&str, GuardOutcome> = HashMap::new();
-    let mut started: HashSet<&str> = HashSet::new();
-    let mut done: HashSet<&str> = HashSet::new(); // finished or skipped
-    let mut running: HashSet<&str> = HashSet::new();
-    let mut finish_blocked: HashSet<&str> = HashSet::new();
-    let mut trace = Trace::default();
-    let mut seq: u64 = 0;
-    let mut checks: u64 = 0;
-    let mut now: Time = 0;
-
-    // Scheduled natural finishes: Reverse-ordered min-heap.
-    let mut finish_queue: BinaryHeap<std::cmp::Reverse<(Time, u64, String)>> = BinaryHeap::new();
-
-    let total = cs.activities.len();
-    loop {
-        // Commit phase: start, skip, or unblock whatever is ready at `now`.
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for a in &cs.activities {
-                let a = a.as_str();
-                if done.contains(a) || running.contains(a) && !finish_blocked.contains(a) {
-                    continue;
-                }
-                if finish_blocked.contains(a) {
-                    // Re-try the deferred finish.
-                    let ok = finish_prereqs[a]
-                        .iter()
-                        .all(|p| prereq_satisfied(p, &resolved, &outcome, &mut checks));
-                    if ok {
-                        finish_blocked.remove(a);
-                        commit_finish(
-                            a, now, &mut seq, cs, config, &mut trace, &mut resolved,
-                            &mut outcome, &mut running, &mut done, value_of_guard,
-                        );
-                        progressed = true;
-                    }
-                    continue;
-                }
-                if started.contains(a) {
-                    continue;
-                }
-                let starts_ok = start_prereqs[a]
-                    .iter()
-                    .all(|p| prereq_satisfied(p, &resolved, &outcome, &mut checks));
-                if !starts_ok {
-                    continue;
-                }
-                match exec_decided(a, exec, &outcome) {
-                    None => continue,
-                    Some(true) => {
-                        // Exclusive: defer while a partner is running.
-                        if exclusive
-                            .get(a)
-                            .is_some_and(|ps| ps.iter().any(|p| running.contains(p)))
-                        {
-                            continue;
-                        }
-                        // Worker limit: zero-duration activities (the
-                        // desugaring coordinators) pass through freely.
-                        if let Some(k) = config.workers {
-                            if config.durations.of(a) > 0 && running.len() >= k {
-                                continue;
-                            }
-                        }
-                        started.insert(a);
-                        running.insert(a);
-                        trace.events.push(TraceEvent {
-                            time: now,
-                            seq,
-                            activity: a.to_string(),
-                            kind: EventKind::Start,
-                            value: None,
-                        });
-                        resolved.insert(StateRef::start(a), (now, seq));
-                        resolved.insert(StateRef::run(a), (now, seq));
-                        seq += 1;
-                        finish_queue.push(std::cmp::Reverse((
-                            now + config.durations.of(a),
-                            seq,
-                            a.to_string(),
-                        )));
-                        progressed = true;
-                    }
-                    Some(false) => {
-                        // Skip also waits for finish-side prerequisites
-                        // (skip events are ordered after everything the
-                        // activity would have waited for).
-                        let fin_ok = finish_prereqs[a]
-                            .iter()
-                            .all(|p| prereq_satisfied(p, &resolved, &outcome, &mut checks));
-                        if !fin_ok {
-                            continue;
-                        }
-                        started.insert(a);
-                        done.insert(a);
-                        trace.events.push(TraceEvent {
-                            time: now,
-                            seq,
-                            activity: a.to_string(),
-                            kind: EventKind::Skip,
-                            value: None,
-                        });
-                        for st in ActivityState::ALL {
-                            resolved.insert(
-                                StateRef {
-                                    activity: a.to_string(),
-                                    state: st,
-                                },
-                                (now, seq),
-                            );
-                        }
-                        outcome.insert(a, GuardOutcome::Skipped);
-                        seq += 1;
-                        progressed = true;
-                    }
-                }
-            }
-        }
-
-        if done.len() == total {
-            break;
-        }
-        // Advance to the next natural finish.
-        let Some(std::cmp::Reverse((t, _, a))) = finish_queue.pop() else {
-            break; // deadlock: nothing running, nothing ready
-        };
-        now = now.max(t);
-        let a_ref: &str = cs
-            .activities
-            .get(&a)
-            .map(String::as_str)
-            .expect("finish of unknown activity");
-        // Finish-side prerequisites may defer the completion.
-        let ok = finish_prereqs[a_ref]
-            .iter()
-            .all(|p| prereq_satisfied(p, &resolved, &outcome, &mut checks));
-        if ok {
-            commit_finish(
-                a_ref, now, &mut seq, cs, config, &mut trace, &mut resolved, &mut outcome,
-                &mut running, &mut done, value_of_guard,
-            );
-        } else {
-            finish_blocked.insert(a_ref);
-        }
-    }
-
-    let stuck: Vec<String> = cs
-        .activities
-        .iter()
-        .filter(|a| !done.contains(a.as_str()))
-        .cloned()
-        .collect();
-    Schedule {
-        trace,
-        constraint_checks: checks,
-        stuck,
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn commit_finish<'a>(
     a: &'a str,
@@ -1134,68 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_matches_rescan_and_spends_fewer_checks() {
-        // A branching process with a deferred finish and an exclusive
-        // pair exercises every commit kind; the engines must agree on the
-        // trace byte-for-byte while the agenda engine spends fewer checks.
-        let mut cs = ConstraintSet::new("equiv");
-        for a in ["g", "a", "x", "y", "j", "p", "q"] {
-            cs.add_activity(a);
-        }
-        cs.add_domain("g", vec!["T".into(), "F".into()]);
-        cs.push(Relation::before_if(
-            StateRef::finish("g"),
-            StateRef::start("x"),
-            Condition::new("g", "T"),
-            Origin::Control,
-        ));
-        cs.push(Relation::before_if(
-            StateRef::finish("g"),
-            StateRef::start("y"),
-            Condition::new("g", "F"),
-            Origin::Control,
-        ));
-        cs.push(before("a", "x"));
-        cs.push(before("x", "j"));
-        cs.push(before("y", "j"));
-        cs.push(Relation::before(
-            StateRef::start("a"),
-            StateRef::finish("p"),
-            Origin::Cooperation,
-        ));
-        cs.push(Relation::Exclusive {
-            a: StateRef::run("p"),
-            b: StateRef::run("q"),
-            origin: Origin::Cooperation,
-        });
-        let exec = ExecConditions::derive(&cs);
-        for value in ["T", "F"] {
-            let mut cfg = SimConfig::default();
-            cfg.oracle.insert("g".into(), value.into());
-            cfg.durations.set("a", 7);
-            cfg.durations.set("p", 3);
-            let base = simulate_rescan_baseline(&cs, &exec, &cfg);
-            for threads in [0usize, 1, 2] {
-                let mut c = cfg.clone();
-                c.threads = threads;
-                let wf = simulate(&cs, &exec, &c);
-                assert_eq!(
-                    format!("{:?}", wf.trace),
-                    format!("{:?}", base.trace),
-                    "trace diverged (oracle {value}, threads {threads})"
-                );
-                assert_eq!(wf.stuck, base.stuck);
-                assert!(
-                    wf.constraint_checks <= base.constraint_checks,
-                    "agenda spent more checks than the rescan: {} vs {}",
-                    wf.constraint_checks,
-                    base.constraint_checks
-                );
-            }
-        }
-    }
-
-    #[test]
     fn wavefront_checks_are_thread_invariant() {
         let mut cs = ConstraintSet::new("inv");
         for i in 0..20 {
@@ -1342,23 +1066,5 @@ mod worker_tests {
         cs.desugar_happen_together();
         let s = run_with(&cs, Some(2));
         assert!(s.completed(), "{:?}", s.stuck);
-    }
-
-    #[test]
-    fn worker_limit_matches_rescan_baseline() {
-        let mut cs = independent(8);
-        cs.push(Relation::before(
-            StateRef::finish("a0"),
-            StateRef::start("a5"),
-            Origin::Data,
-        ));
-        let exec = ExecConditions::derive(&cs);
-        let config = SimConfig {
-            workers: Some(3),
-            ..Default::default()
-        };
-        let base = simulate_rescan_baseline(&cs, &exec, &config);
-        let wf = simulate(&cs, &exec, &config);
-        assert_eq!(format!("{:?}", wf.trace), format!("{:?}", base.trace));
     }
 }

@@ -1,7 +1,8 @@
 //! # dscweaver-scheduler
 //!
 //! The dataflow scheduling engine (§1: "dependencies are explicitly
-//! modeled to guide activity scheduling") and its baselines:
+//! modeled to guide activity scheduling") and the sequencing-construct
+//! baseline it is compared with:
 //!
 //! * [`engine`] — a discrete-event simulator executing constraint sets in
 //!   virtual time, with dead-path elimination, Exclusive runtime checking
@@ -12,8 +13,6 @@
 //! * [`constructs`] — the sequencing-construct baseline: Figure-2-style
 //!   process structure converted to (over-specified) constraints, run on
 //!   the same engine;
-//! * [`threaded`] — a real concurrent executor (scoped `std::thread`s +
-//!   a `std::sync` monitor) honoring the same constraints;
 //! * [`trace`] — traces, metrics and post-hoc verification of *any*
 //!   constraint set against a trace (the optimizer's correctness oracle).
 //!
@@ -47,7 +46,6 @@ pub mod conformance;
 pub mod constructs;
 pub mod engine;
 pub mod monitor;
-pub mod threaded;
 pub mod trace;
 
 pub use conformance::{check_all_conformance, check_conformance, occurrence_point};
@@ -56,9 +54,5 @@ pub use monitor::{
     MonitorProgram, MonitorState, MonitorStats, Verdict, VerdictKind,
 };
 pub use constructs::{structural_constraints, StructuralError};
-pub use engine::{
-    simulate, simulate_rescan_baseline, DurationModel, PreparedSchedule, Schedule, ScheduleTables,
-    SimConfig,
-};
-pub use threaded::{execute_threaded, ThreadedRun};
+pub use engine::{simulate, DurationModel, PreparedSchedule, Schedule, ScheduleTables, SimConfig};
 pub use trace::{EventKind, Time, Trace, TraceEvent, Violation};

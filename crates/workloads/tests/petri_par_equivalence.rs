@@ -2,19 +2,20 @@
 //! bit-identical to their sequential counterparts, on seeded workloads:
 //!
 //! * `validate` with `threads ∈ {1, 2, auto}` must produce the same report
-//!   as the sequential legacy-rescan reference, with failures in
-//!   assignment-lexicographic order;
-//! * `explore_with` must reproduce `explore` exactly (seen-insertion
-//!   order, truncation, terminal markings, fired set, peak tokens);
-//! * `run_to_quiescence_wavefront` must replay `run_to_quiescence`'s
-//!   firing sequence exactly.
+//!   as the sequential legacy-rescan reference (`oracle::validate_rescan`),
+//!   with failures in assignment-lexicographic order;
+//! * `explore_with` must reproduce the FIFO `oracle::explore` exactly
+//!   (seen-insertion order, truncation, terminal markings, fired set, peak
+//!   tokens);
+//! * `run_to_quiescence_wavefront` must replay the rescan
+//!   `oracle::run_to_quiescence`'s firing sequence exactly.
 
+use dscweaver_bench::oracle::{explore, run_to_quiescence, validate_rescan};
 use dscweaver_core::Weaver;
 use dscweaver_dscl::{Condition, ConstraintSet, Relation, StateRef};
 use dscweaver_petri::{
-    assignment_chooser, explore, explore_with, lower, run_to_quiescence,
-    run_to_quiescence_wavefront, validate, AssignmentFailure, FactorPolicy, ValidateOptions,
-    ValidationReport,
+    assignment_chooser, explore_with, lower, run_to_quiescence_wavefront, validate,
+    AssignmentFailure, FactorPolicy, ValidateOptions, ValidationReport,
 };
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{dense_conditional, fork_join, DenseConditionalParams};
@@ -59,15 +60,7 @@ fn validate_report_is_thread_invariant_on_clean_workloads() {
             seed,
         });
         let out = Weaver::new().run(&ds).unwrap();
-        let reference = validate(
-            &out.minimal,
-            &out.exec,
-            &ValidateOptions {
-                threads: 1,
-                rescan_baseline: true,
-                ..Default::default()
-            },
-        );
+        let reference = validate_rescan(&out.minimal, &out.exec, &ValidateOptions::default());
         assert!(reference.ok(), "seed {seed}: {:?}", reference.failures);
         assert_eq!(reference.assignments_checked, 32);
         for threads in [1usize, 2, 0] {
@@ -105,39 +98,28 @@ fn failure_merge_order_is_lexicographic_and_thread_invariant() {
         ));
     }
     let exec = dscweaver_core::ExecConditions::derive(&cs);
-    let reference = validate(
-        &cs,
-        &exec,
-        &ValidateOptions {
-            threads: 1,
-            rescan_baseline: true,
-            // Pin the full 2^3 enumeration: the three ghost guards are
-            // provably independent, so auto-factoring would shrink it.
-            factor: FactorPolicy::Off,
-            ..Default::default()
-        },
-    );
+    // The reference enumerates the full 2^3 space; the engine must too,
+    // so pin it unfactored: the three ghost guards are provably
+    // independent, and auto-factoring would shrink the enumeration.
+    let reference = validate_rescan(&cs, &exec, &ValidateOptions::default());
     assert!(!reference.ok());
     assert_eq!(reference.assignments_checked, 8);
     assert_eq!(reference.failures.len(), 8, "every assignment deadlocks");
     for threads in [1usize, 2, 0] {
-        for rescan in [false, true] {
-            let got = validate(
-                &cs,
-                &exec,
-                &ValidateOptions {
-                    threads,
-                    rescan_baseline: rescan,
-                    factor: FactorPolicy::Off,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                canon_report(&got),
-                canon_report(&reference),
-                "threads {threads} rescan {rescan}"
-            );
-        }
+        let got = validate(
+            &cs,
+            &exec,
+            &ValidateOptions {
+                threads,
+                factor: FactorPolicy::Off,
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            canon_report(&got),
+            canon_report(&reference),
+            "threads {threads}"
+        );
     }
 }
 

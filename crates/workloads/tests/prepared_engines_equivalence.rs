@@ -5,6 +5,7 @@
 //! validation must agree with the full enumeration's verdict while
 //! checking strictly fewer assignments on guard-independent workloads.
 
+use dscweaver_bench::oracle::validate_rescan;
 use dscweaver_core::{merge, translate_services, ExecConditions, Weaver};
 use dscweaver_petri::{
     assignment_chooser, guard_groups, lower, run_to_quiescence_wavefront, validate,
@@ -87,7 +88,7 @@ fn net_session_reuse_matches_fresh_wavefront_across_runs() {
     }
 }
 
-/// `validate` (which now runs one session per worker window) must stay
+/// `validate` (which runs one session per worker window) must stay
 /// bit-identical to the sequential rescan reference for every thread count
 /// and for truncating assignment windows.
 #[test]
@@ -100,12 +101,10 @@ fn validate_sessions_are_thread_and_window_invariant() {
     });
     let out = Weaver::new().run(&ds).unwrap();
     for max_assignments in [4096usize, 20, 7] {
-        let reference = validate(
+        let reference = validate_rescan(
             &out.minimal,
             &out.exec,
             &ValidateOptions {
-                threads: 1,
-                rescan_baseline: true,
                 max_assignments,
                 ..Default::default()
             },

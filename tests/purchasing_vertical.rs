@@ -161,7 +161,7 @@ fn threaded_execution_of_minimal_set() {
         let oracle: BTreeMap<String, String> =
             [("if_au".to_string(), branch.to_string())].into();
         for _ in 0..10 {
-            let run = dscweaver::scheduler::execute_threaded(
+            let run = dscweaver_bench::oracle::execute_threaded(
                 &out.minimal,
                 &out.exec,
                 &oracle,
