@@ -3,7 +3,7 @@
 //! `repro bench-json`.
 //!
 //! The comparison pits [`dscweaver_core::minimize_generic_with`] (interned
-//! annotations, bitset prefilters, scoped worker threads — this repo's
+//! annotations, bitset prefilters, pooled worker threads — this repo's
 //! optimized engine) against [`crate::oracle::minimize_generic_baseline`]
 //! (the sequential structural reference) on identical prepared inputs, and
 //! asserts the minimal sets agree before reporting any timing.

@@ -57,7 +57,7 @@
 //!    composed on worker threads against a read-only snapshot, invalidated
 //!    if an earlier acceptance dirtied their dependency cone), and the
 //!    slow path's affected-ancestor recomputation runs in
-//!    reverse-topological level batches across a `std::thread::scope`
+//!    reverse-topological level batches on the shared `graph::par`
 //!    pool. The result is pinned edge-for-edge equal to a sequential
 //!    structural reference implementation (`dscweaver_bench::oracle`).
 //!
@@ -1077,7 +1077,7 @@ impl<'a> Engine<'a> {
 }
 
 /// The generic §4.4 greedy algorithm with explicit [`MinimizeOptions`] —
-/// the optimized engine (interned annotations, bitset prefilters, scoped
+/// the optimized engine (interned annotations, bitset prefilters, pooled
 /// worker threads). Produces edge-for-edge the same minimal set as the
 /// sequential structural reference (`dscweaver_bench::oracle`).
 pub fn minimize_generic_with(

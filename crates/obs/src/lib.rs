@@ -9,12 +9,11 @@
 //! * **hierarchical spans** ([`span`] / [`span_with`]) and **instant
 //!   events** ([`instant`]) buffered in thread-local vectors (no lock on
 //!   the hot path) and flushed wholesale when a snapshot is taken — pool
-//!   workers flush explicitly ([`flush_thread`]) before their fork/join
-//!   scope returns;
+//!   chunks flush explicitly ([`flush_thread`]) before their fork/join
+//!   call returns;
 //! * **worker lanes** ([`worker_lane`]): the shared pool in `graph::par`
-//!   tags each scoped worker with a stable `worker-{slot}` lane so traces
-//!   show one row per pool slot, reused across sequential fork/join
-//!   scopes;
+//!   runs each chunk on a stable `worker-{slot}` lane so traces show one
+//!   row per pool slot, reused across sequential fork/join calls;
 //! * a **counter/gauge registry** ([`counter_add`] / [`gauge_set`]) that
 //!   absorbs the engines' existing telemetry (pool sizes, cache hit
 //!   rates, assignment counts) into the same snapshot;
@@ -192,11 +191,11 @@ struct ThreadBuf {
 
 impl Drop for ThreadBuf {
     fn drop(&mut self) {
-        // Safety net only: `thread::scope` waits for a worker's closure,
-        // not for its TLS teardown, so this drop-flush can land after the
-        // scope returns (and after a snapshot was taken). Pool workers
-        // therefore call `flush_thread` explicitly at the end of their
-        // closure body; this catches plain detached threads.
+        // Safety net only: a fork/join call waits for its chunks, not
+        // for any thread's TLS teardown (pool threads never exit), so a
+        // drop-flush would land after the call returns (and after a
+        // snapshot was taken). Pool chunks therefore call `flush_thread`
+        // explicitly when they end; this catches plain detached threads.
         if !self.buf.is_empty() {
             lock(&registry().events).append(&mut self.buf);
         }
@@ -349,11 +348,11 @@ fn intern_lane(name: &str) -> u32 {
 }
 
 /// Flushes the current thread's buffered events into the global sink.
-/// Called automatically by [`take`] for the calling thread. Scoped pool
-/// workers must call this at the end of their closure body:
-/// `thread::scope` waits for the closure but not for TLS teardown, so
-/// relying on the thread-exit flush would race a snapshot taken right
-/// after the scope.
+/// Called automatically by [`take`] for the calling thread. Pool chunks
+/// must call this when they end: a fork/join call waits for its chunks,
+/// not for thread teardown (pool threads live as long as the process),
+/// so relying on the thread-exit flush would miss a snapshot taken right
+/// after the call.
 pub fn flush_thread() {
     TLS.with(|t| {
         let mut t = t.borrow_mut();

@@ -60,7 +60,7 @@ fn expand(net: &Net, m: &Marking) -> Expansion {
 
 /// Explores the reachability graph breadth-first up to `max_states`
 /// distinct markings, with the per-marking expansion of each BFS frontier
-/// layer fanned out over `threads` scoped workers (`0` = auto, `1` =
+/// layer fanned out over `threads` pool workers (`0` = auto, `1` =
 /// sequential). A FIFO queue visits markings in layer order, so expanding
 /// a whole layer concurrently and merging the expansions *in frontier
 /// order* replays the sequential seen-set insertion order exactly — the

@@ -59,7 +59,7 @@ pub type InstanceId = u32;
 const NONE: u32 = u32::MAX;
 
 /// Batches below this size are processed inline even when the state has
-/// worker threads: spawning scoped threads per tiny batch would dominate.
+/// worker threads: waking pool threads per tiny batch would dominate.
 /// The verdict sequence is identical either way.
 const PAR_INGEST_MIN: usize = 4096;
 

@@ -24,8 +24,8 @@
 //! (the `X-Cache` header carries hit/canonical/miss).
 //!
 //! The transport is connection-oriented: HTTP/1.1 keep-alive with bounded
-//! pipelining, a reusable per-connection read buffer, and admission
-//! batched per connection-readiness rather than per request
+//! pipelining, a reusable per-connection read buffer, and one `poll(2)`
+//! event loop that serves each connection as it becomes ready
 //! ([`server`]); [`client::Client`] reuses its connection by default.
 //!
 //! Serving a request without any networking:

@@ -42,7 +42,7 @@ use dscweaver_petri::{CompiledValidation, ValidateOptions, ValidationReport};
 use dscweaver_scheduler::{PreparedSchedule, Schedule, ScheduleTables, SimConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -184,8 +184,26 @@ impl ProcessEntry {
     /// allows. Results are always identical to a fresh weave of the
     /// revision.
     pub fn reweave(&self, ds: &DependencySet) -> Result<ReweaveReport, String> {
-        let mut session = self.session.lock().expect("session lock poisoned");
-        session.weave(ds).map_err(|e| format!("weave error: {e}"))
+        self.lock_session()
+            .weave(ds)
+            .map_err(|e| format!("weave error: {e}"))
+    }
+
+    /// Locks the live re-weave session. A re-weave that panicked left the
+    /// lock poisoned and the session state suspect: the session restarts
+    /// from the entry's own revision, which wove when the entry was
+    /// built, so the next re-weave of this base is served normally.
+    pub(crate) fn lock_session(&self) -> MutexGuard<'_, WeaveSession> {
+        self.session.lock().unwrap_or_else(|poisoned| {
+            let mut session = poisoned.into_inner();
+            let fresh = session.config().session();
+            *session = fresh;
+            session
+                .weave(&self.dependencies)
+                .expect("the entry's own revision wove when it was built");
+            self.session.clear_poison();
+            session
+        })
     }
 
     /// The frozen hash-consing pool snapshot of the weave — shareable
@@ -221,7 +239,7 @@ pub struct Lookup {
 
 /// Counters the registry exposes via `/v1/stats`.
 ///
-/// `hits`/`canonical_hits`/`misses`/`evictions`/`served`/`rejected` are
+/// `hits`/`canonical_hits`/`misses`/`evictions`/`served` are
 /// cumulative since daemon start; `entries`/`capacity`/`in_flight` are
 /// instantaneous. `hits` counts raw-memo hits (byte-identical re-
 /// submissions); `canonical_hits` counts raw-miss lookups answered by an
@@ -247,11 +265,8 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Process-keyed requests currently being served.
     pub in_flight: u64,
-    /// Process-keyed requests completed (any status except 429).
+    /// Process-keyed requests completed.
     pub served: u64,
-    /// Process-keyed requests rejected with `429` by the back-pressure
-    /// ceiling.
-    pub rejected: u64,
 }
 
 impl RegistryStats {
@@ -268,7 +283,6 @@ impl RegistryStats {
             evictions: self.evictions - earlier.evictions,
             in_flight: self.in_flight,
             served: self.served - earlier.served,
-            rejected: self.rejected - earlier.rejected,
         }
     }
 }
@@ -308,13 +322,11 @@ pub struct Registry {
     raw: Mutex<LruCache<u64, Arc<RawMemo>>>,
     inner: Mutex<LruCache<u64, Arc<ProcessEntry>>>,
     threads: usize,
-    max_in_flight: u64,
     hits: AtomicU64,
     canonical_hits: AtomicU64,
     misses: AtomicU64,
     in_flight: AtomicU64,
     served: AtomicU64,
-    rejected: AtomicU64,
     tracer: Tracer,
     stats_seq: AtomicU64,
     stats_ring: Mutex<VecDeque<(u64, RegistryStats)>>,
@@ -326,22 +338,19 @@ impl Registry {
     /// A registry evicting beyond `capacity` canonical entries (the raw
     /// memo holds [`RAW_MEMO_PER_ENTRY`]× as many text variants),
     /// compiling and running with the given worker-thread count (`0` =
-    /// auto). Back-pressure is off (no in-flight ceiling) and request
-    /// tracing is disabled; the daemon opts in via
-    /// [`Registry::with_max_in_flight`] and [`Registry::with_trace_config`].
+    /// auto). Request tracing is disabled; the daemon opts in via
+    /// [`Registry::with_trace_config`].
     pub fn new(capacity: usize, threads: usize) -> Registry {
         let capacity = capacity.max(1);
         Registry {
             raw: Mutex::new(LruCache::new(capacity * RAW_MEMO_PER_ENTRY)),
             inner: Mutex::new(LruCache::new(capacity)),
             threads,
-            max_in_flight: 0,
             hits: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             served: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             tracer: Tracer::new(TraceConfig::disabled()),
             stats_seq: AtomicU64::new(0),
             stats_ring: Mutex::new(VecDeque::new()),
@@ -356,14 +365,6 @@ impl Registry {
         self
     }
 
-    /// Sets the back-pressure ceiling: process-keyed requests beyond
-    /// `max` concurrently in flight are rejected with `429` (`0` =
-    /// unlimited).
-    pub fn with_max_in_flight(mut self, max: u64) -> Registry {
-        self.max_in_flight = max;
-        self
-    }
-
     /// Replaces the request tracer's tail-sampling configuration.
     pub fn with_trace_config(mut self, config: TraceConfig) -> Registry {
         self.tracer = Tracer::new(config);
@@ -373,11 +374,6 @@ impl Registry {
     /// The worker-thread knob requests run with.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The back-pressure ceiling (`0` = unlimited).
-    pub fn max_in_flight(&self) -> u64 {
-        self.max_in_flight
     }
 
     /// The request tracer (tail-sampled span trees for `/v1/traces`).
@@ -489,13 +485,10 @@ impl Registry {
     }
 
     /// Marks a process-keyed request entering service; pair with
-    /// [`Registry::leave`]. Returns the in-flight count *including* this
-    /// request, which the service layer compares against
-    /// [`Registry::max_in_flight`] for the 429 admission decision.
-    pub fn enter(&self) -> u64 {
+    /// [`Registry::leave`].
+    pub fn enter(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         obs::gauge_set("serve.in_flight", now as f64);
-        now
     }
 
     /// Marks a process-keyed request leaving service.
@@ -510,12 +503,6 @@ impl Registry {
         obs::counter_add("serve.served", 1);
     }
 
-    /// Counts one request rejected by the back-pressure ceiling.
-    pub fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        obs::counter_add("serve.rejected", 1);
-    }
-
     /// A consistent snapshot of the cache counters.
     pub fn stats(&self) -> RegistryStats {
         let cache = self.inner.lock().expect("registry lock poisoned");
@@ -528,7 +515,6 @@ impl Registry {
             evictions: cache.evictions(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 

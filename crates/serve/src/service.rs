@@ -15,6 +15,7 @@ use crate::http::{HttpError, HttpRequest};
 use crate::registry::{LookupStatus, ProcessEntry, Registry};
 use crate::trace::{self, RequestTrace};
 use dscweaver_obs as obs;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A typed daemon request.
@@ -81,8 +82,7 @@ impl Request {
 
     /// Whether this request runs the compile/run pipeline on a submitted
     /// process. Only process-keyed requests count toward `in_flight` and
-    /// the 429 back-pressure ceiling; the read-only observability
-    /// endpoints stay admissible even under overload.
+    /// `served`, and only their traces are collected.
     pub fn is_process_keyed(&self) -> bool {
         matches!(
             self,
@@ -335,28 +335,33 @@ fn timed_run<T>(f: impl FnOnce() -> T) -> T {
 ///
 /// Observability envelope around the endpoint dispatch: every request gets a
 /// trace id (stamped into [`Response::trace_id`]); process-keyed
-/// requests pass the back-pressure gate (429 once `in_flight` would
-/// exceed [`Registry::max_in_flight`]); end-to-end latency feeds the
-/// per-endpoint `serve.latency.*` histogram; and when the registry's
-/// tracer is active, the request's span tree is tail-sampled into the
-/// `/v1/traces` ring (kept if slow or on the 1-in-N grid).
+/// requests count in `in_flight` while they run; end-to-end latency
+/// feeds the per-endpoint `serve.latency.*` histogram; and when the
+/// registry's tracer is active, a process-keyed request's span tree is
+/// tail-sampled into the `/v1/traces` ring (kept if slow or on the
+/// 1-in-N grid).
 pub fn handle(reg: &Registry, req: &Request) -> Response {
+    handle_admitted(reg, req, reg.tracer().next_id(), dispatch)
+}
+
+/// [`handle`] for a request the caller already admitted under
+/// `(sequence, trace_id)` from the registry's tracer, so a transport that
+/// contains panics can still name the request that raised one; the
+/// endpoints are served by `dispatch` ([`dispatch`] in the daemon, a
+/// panicking stand-in in the server's tests). A panic in the endpoint
+/// unwinds out of here after the request's in-flight slot is released
+/// and, when the tracer is active, its trace is kept with status `500`,
+/// so the id in the transport's reply can be looked up in `/v1/traces`.
+pub(crate) fn handle_admitted(
+    reg: &Registry,
+    req: &Request,
+    (seq, trace_id): (u64, u64),
+    dispatch: fn(&Registry, &Request) -> Response,
+) -> Response {
     let tracer = reg.tracer();
-    let (seq, trace_id) = tracer.next_id();
     let keyed = req.is_process_keyed();
     if keyed {
-        let now = reg.enter();
-        let max = reg.max_in_flight();
-        if max > 0 && now > max {
-            reg.leave();
-            reg.note_rejected();
-            let mut resp = Response::error(
-                429,
-                &format!("{now} requests in flight exceeds the --max-in-flight ceiling of {max}"),
-            );
-            resp.trace_id = trace_id;
-            return resp;
-        }
+        reg.enter();
     }
     let collecting = keyed && tracer.active();
     if collecting {
@@ -364,36 +369,45 @@ pub fn handle(reg: &Registry, req: &Request) -> Response {
     }
     let start_ns = tracer.now_ns();
     let t0 = Instant::now();
-    let mut response = handle_inner(reg, req);
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| dispatch(reg, req)));
     let dur_ns = t0.elapsed().as_nanos() as u64;
     let phases = if collecting {
         trace::end_collect().unwrap_or_default()
     } else {
         Vec::new()
     };
-    obs::histogram(req.latency_metric()).observe(dur_ns);
     if keyed {
         reg.leave();
-        reg.note_served();
     }
     if collecting {
-        if let Some(kept) = tracer.keep(seq, dur_ns) {
+        let (kept, status) = match &outcome {
+            Ok(response) => (tracer.keep(seq, dur_ns), response.status),
+            Err(_) => (Some("panic"), 500),
+        };
+        if let Some(kept) = kept {
             tracer.push(RequestTrace {
                 trace_id,
                 endpoint: req.endpoint(),
                 start_ns,
                 dur_ns,
-                status: response.status,
+                status,
                 kept,
                 phases,
             });
         }
     }
+    let mut response = outcome.unwrap_or_else(|payload| panic::resume_unwind(payload));
+    obs::histogram(req.latency_metric()).observe(dur_ns);
+    if keyed {
+        reg.note_served();
+    }
     response.trace_id = trace_id;
     response
 }
 
-fn handle_inner(reg: &Registry, req: &Request) -> Response {
+/// The endpoints themselves: serves `req` against the registry, without
+/// the observability envelope [`handle`] adds.
+pub(crate) fn dispatch(reg: &Registry, req: &Request) -> Response {
     let _span = obs::span_with("serve.run", || format!("{req:?}"));
     match req {
         Request::Weave { text } => match reg.lookup_or_build(text) {
@@ -515,7 +529,7 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
                     Some(baseline) => format!("{{\"since\":{baseline}}}"),
                 };
                 Response::ok(format!(
-                    "{{\"entries\":{},\"capacity\":{},\"hits\":{},\"canonical_hits\":{},\"misses\":{},\"evictions\":{},\"in_flight\":{},\"served\":{},\"rejected\":{},\"seq\":{},\"window\":{}}}",
+                    "{{\"entries\":{},\"capacity\":{},\"hits\":{},\"canonical_hits\":{},\"misses\":{},\"evictions\":{},\"in_flight\":{},\"served\":{},\"seq\":{},\"window\":{}}}",
                     s.entries,
                     s.capacity,
                     s.hits,
@@ -524,7 +538,6 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
                     s.evictions,
                     s.in_flight,
                     s.served,
-                    s.rejected,
                     seq,
                     window,
                 ))
@@ -671,33 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn back_pressure_rejects_past_the_ceiling_but_read_only_stays_open() {
-        let reg = Registry::new(4, 1).with_max_in_flight(1);
-        // Occupy the only slot, as a concurrent request would.
-        reg.enter();
-        let busy = handle(&reg, &Request::Weave { text: PROC.into() });
-        assert_eq!(busy.status, 429);
-        assert!(busy.body.contains("max-in-flight"), "{}", busy.body);
-        // Observability endpoints are exempt: a saturated daemon must
-        // still answer its health and stats probes.
-        for req in [
-            Request::Stats { since: None },
-            Request::Metrics,
-            Request::Traces,
-            Request::Health,
-        ] {
-            assert_eq!(handle(&reg, &req).status, 200, "{req:?} gated by 429");
-        }
-        reg.leave();
-        let ok = handle(&reg, &Request::Weave { text: PROC.into() });
-        assert_eq!(ok.status, 200);
-        let stats = reg.stats();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.served, 1);
-        assert_eq!(stats.in_flight, 0);
-    }
-
-    #[test]
     fn every_response_carries_a_distinct_trace_id() {
         let reg = Registry::new(4, 1);
         let a = handle(&reg, &Request::Weave { text: PROC.into() });
@@ -705,10 +691,6 @@ mod tests {
         let c = handle(&reg, &Request::Weave { text: PROC.into() });
         assert!(a.trace_id != 0 && b.trace_id != 0 && c.trace_id != 0);
         assert!(a.trace_id != b.trace_id && b.trace_id != c.trace_id);
-        // A rejected request is traced too.
-        let reg = Registry::new(4, 1).with_max_in_flight(1);
-        reg.enter();
-        assert_ne!(handle(&reg, &Request::Weave { text: PROC.into() }).trace_id, 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! header) whether or not its trace is kept. While a request runs, the
 //! serving thread collects its phase spans (`serve.lookup`,
 //! `serve.compile`, `serve.run`, …) into a thread-local buffer — requests
-//! are served whole on one worker thread, so no cross-thread stitching is
+//! are served whole on one thread, so no cross-thread stitching is
 //! needed. When the request completes, the **tail** decision runs: the
 //! full span tree is kept only if the request was slower than the
 //! configured threshold, or if it falls on the 1-in-N sample grid.
@@ -90,7 +90,8 @@ pub struct RequestTrace {
     pub dur_ns: u64,
     /// HTTP status of the response.
     pub status: u16,
-    /// Why the tail kept it: `"slow"` or `"sampled"`.
+    /// Why it was kept: `"slow"` or `"sampled"` by the tail decision,
+    /// or `"panic"` for a request that panicked (always kept).
     pub kept: &'static str,
     /// Phase spans, request-relative.
     pub phases: Vec<PhaseRecord>,
@@ -107,7 +108,7 @@ struct Collector {
 
 /// Starts collecting phase spans for the current thread's request.
 /// Paired with [`end_collect`]; nested activation is not supported (the
-/// daemon serves one request per worker thread at a time).
+/// daemon serves one request at a time on its event-loop thread).
 pub fn begin_collect() {
     COLLECTOR.with(|c| {
         *c.borrow_mut() = Some(Collector { t0: Instant::now(), phases: Vec::new() })

@@ -7,6 +7,8 @@ use dscweaver_serve::client::{self, Client, PipelinedRequest};
 use dscweaver_serve::registry::Registry;
 use dscweaver_serve::server::{ServeConfig, Server};
 use dscweaver_serve::service::{handle, oneshot, Request};
+use std::io::{Read, Write};
+use std::time::Duration;
 
 /// A small family of **structurally** distinct processes: a guarded
 /// diamond plus an `i`-long tail of extra readers, so weave, validation
@@ -264,4 +266,95 @@ fn daemon_reweave_fingerprint_matches_single_owner_weave() {
 
     assert_eq!(daemon_report.fingerprint, owner_report.fingerprint);
     assert_eq!(daemon_report.path, owner_report.path);
+}
+
+/// One keep-alive `/v1/weave` request as wire bytes.
+fn weave_wire(text: &str) -> String {
+    format!(
+        "POST /v1/weave HTTP/1.1\r\ncontent-length: {}\r\n\r\n{text}",
+        text.len()
+    )
+}
+
+/// Reads one content-length-framed reply off a raw stream; returns the
+/// head (status line and headers) and the body.
+fn read_reply(stream: &mut std::net::TcpStream) -> (String, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("reply head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("ASCII head");
+    let len: usize = head
+        .lines()
+        .find_map(|l| {
+            l.to_ascii_lowercase()
+                .strip_prefix("content-length: ")
+                .map(str::to_string)
+        })
+        .expect("framed reply")
+        .parse()
+        .expect("numeric length");
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).expect("reply body");
+    (head, String::from_utf8(body).expect("UTF-8 body"))
+}
+
+#[test]
+fn a_pipeline_deeper_than_one_pass_replies_in_order() {
+    // 40 requests in one write exceed the 32 served per pass: the last 8
+    // are served on the next pass, with no new input to wake the loop.
+    // Replies come back in request order, bit-identical to one-shot.
+    let texts: Vec<String> = (0..40).map(proc_text).collect();
+    let references: Vec<String> = texts
+        .iter()
+        .map(|t| oneshot(&Request::Weave { text: t.clone() }, 1).body)
+        .collect();
+    for threads in [1usize, 2] {
+        let server = Server::start(&ServeConfig {
+            threads,
+            cache_capacity: 64,
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        // A raw stream with a read timeout: requests stranded in the
+        // buffer fail the test instead of hanging it.
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let wire: String = texts.iter().map(|t| weave_wire(t)).collect();
+        stream.write_all(wire.as_bytes()).unwrap();
+        for (i, reference) in references.iter().enumerate() {
+            let (head, body) = read_reply(&mut stream);
+            assert!(head.starts_with("HTTP/1.1 200"), "slot {i}: {head}{body}");
+            assert_eq!(
+                &body, reference,
+                "pipelined body diverged (threads {threads}, slot {i})"
+            );
+        }
+        server.shutdown();
+    }
+}
+
+#[test]
+fn a_request_split_across_two_writes_is_answered() {
+    let text = proc_text(1);
+    let reference = oneshot(&Request::Weave { text: text.clone() }, 1).body;
+    let server = Server::start(&ServeConfig::default()).expect("bind ephemeral port");
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let wire = weave_wire(&text);
+    let (first, second) = wire.as_bytes().split_at(wire.len() / 2);
+    stream.write_all(first).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(second).unwrap();
+    let (head, body) = read_reply(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, reference);
+    server.shutdown();
 }

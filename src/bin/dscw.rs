@@ -9,8 +9,8 @@
 //! dscw figures   <process.proc> [...]
 //! dscw monitor   <process.proc> [--instances N] [--batch N] [--seed N] [--violate RATE] [...]
 //! dscw serve     [--port N] [--threads N] [--cache N] [--max-conns N]
-//!                [--idle-timeout MS] [--max-body BYTES] [--max-in-flight N]
-//!                [--trace-slow-ms MS] [--trace-sample N] [--trace-capacity N]
+//!                [--idle-timeout MS] [--max-body BYTES] [--trace-slow-ms MS]
+//!                [--trace-sample N] [--trace-capacity N]
 //!                [--duration SECS] [--trace out.json] [--profile]
 //! ```
 //!
@@ -38,8 +38,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: dscw serve [--port <n>] [--threads <n>] [--cache <entries>]
        [--max-conns <n>] [--idle-timeout <ms>] [--max-body <bytes>]
-       [--max-in-flight <n>] [--trace-slow-ms <ms>]
-       [--trace-sample <n>] [--trace-capacity <n>]
+       [--trace-slow-ms <ms>] [--trace-sample <n>] [--trace-capacity <n>]
        [--duration <secs>] [--trace <out.json>] [--profile]
        dscw <optimize|validate|run|bpel|dot|figures|monitor> <process.proc>
        [--coop <constraints.dscl>]
@@ -165,11 +164,6 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad body cap: {e}"))?
             }
-            "--max-in-flight" => {
-                config.max_in_flight = next("max-in-flight")?
-                    .parse()
-                    .map_err(|e| format!("bad in-flight ceiling: {e}"))?
-            }
             "--trace-slow-ms" => {
                 config.trace_slow_ms = next("trace-slow-ms")?
                     .parse()
@@ -213,12 +207,6 @@ fn run_serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
         "endpoints: POST /v1/weave /v1/validate /v1/simulate /v1/reweave | \
          GET /v1/stats /metrics /v1/traces /healthz"
     );
-    if config.max_in_flight > 0 {
-        eprintln!(
-            "back-pressure: process-keyed requests beyond {} in flight get 429",
-            config.max_in_flight
-        );
-    }
     if duration == 0 {
         // Serve until the process is killed; the listener thread owns
         // the socket, so parking the main thread is all that remains.
