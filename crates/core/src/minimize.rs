@@ -52,14 +52,17 @@
 //!    unconditional inputs every candidate is decided here, so the
 //!    generic engine matches [`minimize_unconditional_fast`] within a
 //!    small constant.
-//! 3. **Scoped-thread parallelism** — candidates the prefilters leave
-//!    undecided are screened concurrently (their tentative tail row is
-//!    composed on worker threads against a read-only snapshot, invalidated
-//!    if an earlier acceptance dirtied their dependency cone), and the
-//!    slow path's affected-ancestor recomputation runs in
-//!    reverse-topological level batches on the shared `graph::par`
-//!    pool. The result is pinned edge-for-edge equal to a sequential
-//!    structural reference implementation (`dscweaver_bench::oracle`).
+//! 3. **One sequential greedy loop** — each removal is decided against
+//!    the *current* `P*`, so candidates are taken strictly in order on
+//!    the calling thread, at every thread count. Candidates the
+//!    prefilters leave undecided recompose only their tail row (and, on
+//!    the rare slow path, their live ancestors' rows) in interned form.
+//!    Threads pay only in the level-parallel initial closure
+//!    ([`interned_closure`]), which is bit-identical — rows and pool
+//!    numbering — at every thread count, so the result and every
+//!    [`MinimizeStats`] counter are too. The result is pinned
+//!    edge-for-edge equal to a sequential structural reference
+//!    implementation (`dscweaver_bench::oracle`).
 //!
 //! ```
 //! use dscweaver_core::minimize::{minimize, EdgeOrder, EquivalenceMode};
@@ -85,16 +88,15 @@
 use crate::exec::{implies_under, ExecConditions};
 use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
-use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::iclosure::{
     compose_interned_row, interned_closure, irow_get, IRow, RowScratch,
 };
 use dscweaver_graph::{
-    effective_threads, find_cycle, par_map, topo_sort, BitSet, DiGraph, DnfId, DnfPool, EdgeId,
-    LruCache, NodeId, TermId,
+    effective_threads, find_cycle, topo_sort, BitSet, DiGraph, DnfId, DnfPool, EdgeId, LruCache,
+    NodeId, TermId,
 };
 use dscweaver_obs as obs;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// How closures are compared (Definitions 4–5). Ordered from most to
 /// least conservative; all three agree on the paper's Purchasing process
@@ -151,9 +153,10 @@ impl Default for EdgeOrder {
 /// Tuning knobs for the optimized minimizer.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MinimizeOptions {
-    /// Worker threads for candidate screening and ancestor recomputation.
-    /// `0` (the default) picks from available parallelism; `1` forces the
-    /// fully sequential engine. The result is identical either way.
+    /// Worker threads for the level-parallel initial closure. `0` (the
+    /// default) picks from available parallelism; `1` runs it
+    /// sequentially. The greedy loop itself is sequential at every thread
+    /// count, and the result never depends on this value.
     pub threads: usize,
     /// Capacity of the `implies` memo: at most this many verdicts stay
     /// cached, with least-recently-used eviction past the bound
@@ -317,42 +320,6 @@ pub fn minimize_generic(
 // `dscweaver_graph::iclosure`, next to the level-parallel builder that
 // produces them.
 
-/// Interns a structurally composed row.
-fn intern_row(pool: &mut DnfPool<Condition>, srow: Vec<(u32, Dnf<Condition>)>) -> IRow {
-    srow.into_iter().map(|(t, d)| (t, pool.intern(&d))).collect()
-}
-
-/// Structural row composition against a read-only snapshot — safe to run
-/// on worker threads (resolves interned successor rows through `&DnfPool`,
-/// never interns). `fresh` overrides `irows` for already-recomputed nodes.
-fn compose_structural(
-    g: &DiGraph<SyncNode, SyncEdge>,
-    n: NodeId,
-    skip: EdgeId,
-    removed: &HashSet<EdgeId>,
-    pool: &DnfPool<Condition>,
-    irows: &[IRow],
-    fresh: &HashMap<usize, IRow>,
-) -> Vec<(u32, Dnf<Condition>)> {
-    let mut acc: BTreeMap<u32, Dnf<Condition>> = BTreeMap::new();
-    for e in g.out_edges(n) {
-        if e == skip || removed.contains(&e) {
-            continue;
-        }
-        let (_, m) = g.endpoints(e);
-        let guard = &g.edge_weight(e).cond;
-        acc.entry(m.index() as u32)
-            .or_insert_with(Dnf::empty)
-            .insert(guard.clone().map(|c| vec![c]).unwrap_or_default());
-        let mrow: &IRow = fresh.get(&m.index()).unwrap_or(&irows[m.index()]);
-        for &(t, did) in mrow {
-            pool.dnf(did)
-                .compose_into(guard.as_ref(), acc.entry(t).or_insert_with(Dnf::empty));
-        }
-    }
-    acc.into_iter().collect()
-}
-
 /// Sorts removal candidates according to `order`.
 pub(crate) fn order_candidates(
     g: &DiGraph<SyncNode, SyncEdge>,
@@ -396,12 +363,6 @@ pub(crate) struct Engine<'a> {
     pub(crate) g: &'a DiGraph<SyncNode, SyncEdge>,
     cs: &'a ConstraintSet,
     mode: EquivalenceMode,
-    /// Worker threads for screening/recomputation. The re-weave session
-    /// pins this to 1 after construction: the slow path's parallel branch
-    /// interns only final rows (not intermediates), which is
-    /// result-identical but numbers the pool differently per thread
-    /// count, and the session fingerprints its pool.
-    pub(crate) threads: usize,
     pub(crate) pool: DnfPool<Condition>,
     /// Interned annotated-closure rows, by node index.
     pub(crate) irows: Vec<IRow>,
@@ -424,20 +385,16 @@ pub(crate) struct Engine<'a> {
     pub(crate) uncond: Vec<BitSet>,
     pub(crate) removed: HashSet<EdgeId>,
     topo_pos: Vec<usize>,
-    /// Longest-path distance to a sink on the original graph — strictly
-    /// decreasing along every edge, so it stays a valid schedule under
-    /// edge deletion. Nodes sharing a level never depend on each other.
-    level: Vec<usize>,
     /// Memoized `context ∧ old ⟹ new` verdicts, keyed by interned ids
     /// (domains are fixed per run, so the verdict is too). Bounded to
     /// [`MinimizeOptions::pool_cache_limit`] entries with LRU eviction.
     imp_cache: LruCache<(DnfId, DnfId, DnfId), bool>,
     imp_hits: u64,
     imp_misses: u64,
-    /// Nodes whose rows changed / lost an out-edge since the last
-    /// screening snapshot — invalidates precomputed screening rows.
+    /// Nodes whose rows a slow-path commit changed. The re-weave session
+    /// replays no verdict that read one of them, in this run or (through
+    /// its memo's `slow_touched`) the next.
     pub(crate) dirty_rows: HashSet<usize>,
-    pub(crate) dirty_tails: HashSet<usize>,
     /// Copy-on-write log of pre-greedy rows: when set, the first slow-path
     /// commit that overwrites a row stashes the original here. The
     /// re-weave session restores these afterwards so its memo keeps the
@@ -481,10 +438,6 @@ impl Decision {
     }
 }
 
-/// Minimum same-level batch size before ancestor recomputation fans out to
-/// worker threads — below this the scope setup costs more than the rows.
-const PAR_BATCH_MIN: usize = 8;
-
 impl<'a> Engine<'a> {
     pub(crate) fn new(
         g: &'a DiGraph<SyncNode, SyncEdge>,
@@ -511,7 +464,7 @@ impl<'a> Engine<'a> {
         obs::counter_add("minimize.closure.pool_misses", cstats.pool_misses);
         obs::counter_add("minimize.closure.minted_dnfs", cstats.minted as u64);
 
-        Engine::assemble(g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows, None)
+        Engine::assemble(g, cs, mode, pool_cache_limit, topo, pool, exec_ids, irows, None)
     }
 
     /// Builds an engine around an externally supplied interned closure —
@@ -525,7 +478,6 @@ impl<'a> Engine<'a> {
         cs: &'a ConstraintSet,
         exec: &ExecConditions,
         mode: EquivalenceMode,
-        threads: usize,
         pool_cache_limit: usize,
         topo: &[NodeId],
         mut pool: DnfPool<Condition>,
@@ -533,9 +485,7 @@ impl<'a> Engine<'a> {
         skeletons: Option<(Vec<BitSet>, Vec<BitSet>, Vec<usize>)>,
     ) -> Engine<'a> {
         let exec_ids = intern_exec(g, exec, &mut pool);
-        Engine::assemble(
-            g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows, skeletons,
-        )
+        Engine::assemble(g, cs, mode, pool_cache_limit, topo, pool, exec_ids, irows, skeletons)
     }
 
     /// Shared back half of construction: derived tables and the bitset
@@ -548,7 +498,6 @@ impl<'a> Engine<'a> {
         g: &'a DiGraph<SyncNode, SyncEdge>,
         cs: &'a ConstraintSet,
         mode: EquivalenceMode,
-        threads: usize,
         pool_cache_limit: usize,
         topo: &[NodeId],
         mut pool: DnfPool<Condition>,
@@ -560,15 +509,6 @@ impl<'a> Engine<'a> {
         let mut topo_pos = vec![usize::MAX; bound];
         for (i, &n) in topo.iter().enumerate() {
             topo_pos[n.index()] = i;
-        }
-        let mut level = vec![0usize; bound];
-        for &n in topo.iter().rev() {
-            let l = g
-                .successors(n)
-                .map(|m| level[m.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            level[n.index()] = l;
         }
 
         // Per-edge guard tables for the greedy loop's recompositions
@@ -595,7 +535,6 @@ impl<'a> Engine<'a> {
             g,
             cs,
             mode,
-            threads,
             pool,
             irows,
             exec_ids,
@@ -606,12 +545,10 @@ impl<'a> Engine<'a> {
             uncond,
             removed: HashSet::new(),
             topo_pos,
-            level,
             imp_cache: LruCache::new(pool_cache_limit),
             imp_hits: 0,
             imp_misses: 0,
             dirty_rows: HashSet::new(),
-            dirty_tails: HashSet::new(),
             row_undo: None,
             skeleton_undo: None,
         };
@@ -866,37 +803,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// True if the prefilters cannot decide `cand` against the current
-    /// state — i.e. screening should precompute its tentative tail row.
-    fn screen_undecided(&self, cand: EdgeId) -> bool {
-        let (u, v) = self.g.endpoints(cand);
-        if self.prefilter_accept(cand, u, v) {
-            return false;
-        }
-        if !self.has_alternate_path(cand, u, v) {
-            // Strict/Reachability reject outright; ExecutionAware still
-            // needs the row when the lost target was never live.
-            return self.mode == EquivalenceMode::ExecutionAware;
-        }
-        true
-    }
-
-    /// True if a screening row precomputed at the window snapshot is still
-    /// valid: the tail kept all its edges and no successor row changed.
-    fn precomp_valid(&self, cand: EdgeId) -> bool {
-        let g = self.g;
-        let (u, _) = g.endpoints(cand);
-        if self.dirty_tails.contains(&u.index()) {
-            return false;
-        }
-        g.out_edges(u).all(|oe| {
-            oe == cand || self.removed.contains(&oe) || {
-                let (_, m) = g.endpoints(oe);
-                !self.dirty_rows.contains(&m.index())
-            }
-        })
-    }
-
     /// Live-edge ancestors of `u` (inclusive), sorted so successors come
     /// before predecessors (descending topological position).
     fn affected_ancestors(&self, u: NodeId) -> Vec<NodeId> {
@@ -923,8 +829,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Recomputes the rows of every affected ancestor with `cand` gone,
-    /// fanning same-level batches out to worker threads. `new_u` is the
-    /// already-computed row of the candidate's tail.
+    /// successors first. `new_u` is the already-computed row of the
+    /// candidate's tail.
     fn recompute_rows(
         &mut self,
         affected: &[NodeId],
@@ -934,59 +840,17 @@ impl<'a> Engine<'a> {
     ) -> HashMap<usize, IRow> {
         let mut fresh: HashMap<usize, IRow> = HashMap::new();
         fresh.insert(u.index(), new_u);
-        let rest: Vec<NodeId> = affected.iter().copied().filter(|&n| n != u).collect();
-        if self.threads > 1 && rest.len() >= PAR_BATCH_MIN {
-            // Level batches, nearest-to-sinks first: a node's successors
-            // always sit on strictly smaller levels, so each batch only
-            // reads rows finished in earlier batches (or untouched ones).
-            let mut by_level: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-            for &n in &rest {
-                by_level.entry(self.level[n.index()]).or_default().push(n);
-            }
-            for (_, batch) in by_level {
-                if batch.len() >= 2 {
-                    let (g, pool, irows, removed, fr) =
-                        (self.g, &self.pool, &self.irows, &self.removed, &fresh);
-                    let rows = par_map(self.threads, &batch, &|&n: &NodeId| {
-                        (
-                            n.index(),
-                            compose_structural(g, n, cand, removed, pool, irows, fr),
-                        )
-                    });
-                    for (ni, srow) in rows {
-                        let ir = intern_row(&mut self.pool, srow);
-                        fresh.insert(ni, ir);
-                    }
-                } else {
-                    for &n in &batch {
-                        let r = self.compose_interned(n, Some(cand), &fresh);
-                        fresh.insert(n.index(), r);
-                    }
-                }
-            }
-        } else {
-            for &n in &rest {
-                let r = self.compose_interned(n, Some(cand), &fresh);
-                fresh.insert(n.index(), r);
-            }
+        for &n in affected.iter().filter(|&&n| n != u) {
+            let r = self.compose_interned(n, Some(cand), &fresh);
+            fresh.insert(n.index(), r);
         }
         fresh
     }
 
     /// One greedy step: decide `cand` and mutate state on acceptance.
-    /// `pre` is an optional screening row (structural, snapshot-composed).
-    fn try_remove(&mut self, cand: EdgeId, pre: Option<Vec<(u32, Dnf<Condition>)>>) -> bool {
-        self.try_remove_classified(cand, pre).removed()
-    }
-
-    /// [`Engine::try_remove`] with the decision class exposed — the
-    /// re-weave session records these to know which verdicts it may
-    /// replay on the next run.
-    pub(crate) fn try_remove_classified(
-        &mut self,
-        cand: EdgeId,
-        pre: Option<Vec<(u32, Dnf<Condition>)>>,
-    ) -> Decision {
+    /// The decision class is exposed because the re-weave session records
+    /// it to know which verdicts it may replay on the next run.
+    pub(crate) fn try_remove_classified(&mut self, cand: EdgeId) -> Decision {
         let g = self.g;
         let (u, v) = g.endpoints(cand);
         let ui = u.index();
@@ -994,7 +858,6 @@ impl<'a> Engine<'a> {
         if self.prefilter_accept(cand, u, v) {
             // Row of u provably unchanged — no closure maintenance needed.
             self.removed.insert(cand);
-            self.dirty_tails.insert(ui);
             return Decision::AcceptPrefilter;
         }
 
@@ -1018,13 +881,9 @@ impl<'a> Engine<'a> {
         }
 
         // General path: the full recomposed row of u.
-        let new_u: IRow = match pre {
-            Some(srow) => intern_row(&mut self.pool, srow),
-            None => self.compose_interned(u, Some(cand), &HashMap::new()),
-        };
+        let new_u = self.compose_interned(u, Some(cand), &HashMap::new());
         if new_u == self.irows[ui] {
             self.removed.insert(cand);
-            self.dirty_tails.insert(ui);
             return Decision::AcceptRowUnchanged;
         }
         if !self.covered(ui, &new_u) {
@@ -1058,7 +917,6 @@ impl<'a> Engine<'a> {
         // can have lost.
         let cand_uncond = g.edge_weight(cand).cond.is_none();
         self.removed.insert(cand);
-        self.dirty_tails.insert(ui);
         for (ni, row) in fresh {
             if self.irows[ni] != row {
                 self.dirty_rows.insert(ni);
@@ -1077,9 +935,10 @@ impl<'a> Engine<'a> {
 }
 
 /// The generic §4.4 greedy algorithm with explicit [`MinimizeOptions`] —
-/// the optimized engine (interned annotations, bitset prefilters, pooled
-/// worker threads). Produces edge-for-edge the same minimal set as the
-/// sequential structural reference (`dscweaver_bench::oracle`).
+/// the optimized engine (interned annotations, bitset prefilters, a
+/// level-parallel initial closure). Produces edge-for-edge the same
+/// minimal set as the sequential structural reference
+/// (`dscweaver_bench::oracle`).
 pub fn minimize_generic_with(
     cs: &ConstraintSet,
     exec: &ExecConditions,
@@ -1099,53 +958,26 @@ pub fn minimize_generic_with(
     }
     let topo = topo_sort(g).expect("cycle-free graph must sort");
     let candidates = order_candidates(g, &sg, order);
-    let threads = opts.effective_threads();
     let closure_span = obs::span("minimize.closure");
-    let mut eng = Engine::new(g, cs, exec, mode, threads, opts.pool_cache_limit, &topo);
+    let mut eng = Engine::new(
+        g,
+        cs,
+        exec,
+        mode,
+        opts.effective_threads(),
+        opts.pool_cache_limit,
+        &topo,
+    );
     drop(closure_span);
 
     let greedy_span = obs::span_with("minimize.greedy", || format!("candidates={}", candidates.len()));
     let mut removed_rels: Vec<usize> = Vec::new();
-    let mut checked = 0usize;
-    let window = if threads > 1 { (threads * 4).max(8) } else { 1 };
-    let mut k = 0usize;
-    while k < candidates.len() {
-        let end = (k + window).min(candidates.len());
-
-        // Screening phase: compose the tentative tail row of every
-        // prefilter-undecided candidate in the window concurrently against
-        // a read-only snapshot. Results are advisory — the apply phase
-        // re-runs the prefilters and drops any row whose dependency cone
-        // an earlier acceptance dirtied.
-        let mut pre: HashMap<usize, Vec<(u32, Dnf<Condition>)>> = HashMap::new();
-        if threads > 1 && end - k > 1 {
-            let undecided: Vec<(usize, EdgeId)> = (k..end)
-                .map(|i| (i, candidates[i].0))
-                .filter(|&(_, e)| eng.screen_undecided(e))
-                .collect();
-            if undecided.len() >= 2 {
-                let (g, pool, irows, removed) = (eng.g, &eng.pool, &eng.irows, &eng.removed);
-                let none: HashMap<usize, IRow> = HashMap::new();
-                let rows = par_map(threads, &undecided, &|&(i, e): &(usize, EdgeId)| {
-                    let (u, _) = g.endpoints(e);
-                    (i, compose_structural(g, u, e, removed, pool, irows, &none))
-                });
-                pre.extend(rows);
-            }
+    for &(cand, rel_idx) in &candidates {
+        if eng.try_remove_classified(cand).removed() {
+            removed_rels.push(rel_idx);
         }
-
-        eng.dirty_rows.clear();
-        eng.dirty_tails.clear();
-        for i in k..end {
-            let (cand, rel_idx) = candidates[i];
-            checked += 1;
-            let precomp = pre.remove(&i).filter(|_| eng.precomp_valid(cand));
-            if eng.try_remove(cand, precomp) {
-                removed_rels.push(rel_idx);
-            }
-        }
-        k = end;
     }
+    let checked = candidates.len();
     drop(greedy_span);
 
     let removed_set: HashSet<usize> = removed_rels.iter().copied().collect();

@@ -23,8 +23,10 @@ pub struct Weaver {
     pub mode: EquivalenceMode,
     /// Removal-candidate ordering.
     pub order: EdgeOrder,
-    /// Minimizer worker threads (`0` = auto, `1` = sequential). Thread
-    /// count never changes the result, only the wall time.
+    /// Minimizer worker threads (`0` = auto, `1` = sequential). They
+    /// build the level-parallel initial closure; the §4.4 greedy loop is
+    /// sequential at every count. Thread count never changes the result,
+    /// only the wall time.
     pub threads: usize,
 }
 

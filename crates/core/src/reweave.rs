@@ -401,10 +401,6 @@ impl WeaveSession {
             &asc,
             &exec,
             weaver.mode,
-            // Sequential greedy phase: the engine's parallel slow path is
-            // result-identical but pool-numbering-dependent on thread
-            // count, and the session fingerprints its pool.
-            1,
             MinimizeOptions::default().pool_cache_limit,
             &topo,
             pool,
@@ -503,7 +499,6 @@ impl WeaveSession {
             &asc,
             &exec,
             weaver.mode,
-            1,
             MinimizeOptions::default().pool_cache_limit,
             &topo,
             pool,
@@ -578,7 +573,7 @@ impl WeaveSession {
                 Some(ctx) => ctx.decide(&mut eng, g, cand, &key, report),
                 None => {
                     report.candidates_rescreened += 1;
-                    eng.try_remove_classified(cand, None)
+                    eng.try_remove_classified(cand)
                 }
             };
             if decision.removed() {
@@ -645,7 +640,10 @@ impl WeaveSession {
         report: &mut ReweaveReport,
     ) -> Result<SessionState, WeaverError> {
         let _span = obs::span("reweave.finish");
+        let fp_span = obs::span("reweave.finish.fingerprint");
         report.fingerprint = fingerprint(&memo, &removed_rels);
+        drop(fp_span);
+        let _output_span = obs::span("reweave.finish.output");
         let mut is_removed = vec![false; asc.relations.len()];
         for &i in &removed_rels {
             is_removed[i] = true;
@@ -731,13 +729,12 @@ impl ReplayCtx {
             if self.replayable(eng, g, cand, u, v, d) {
                 if d.removed() {
                     eng.removed.insert(cand);
-                    eng.dirty_tails.insert(ui);
                 }
                 report.candidates_reused += 1;
                 return d;
             }
             report.candidates_rescreened += 1;
-            let fresh = eng.try_remove_classified(cand, None);
+            let fresh = eng.try_remove_classified(cand);
             if fresh.removed() != d.removed() {
                 // The verdict flipped: later records at this tail assumed
                 // a different live-edge history.
@@ -746,7 +743,7 @@ impl ReplayCtx {
             fresh
         } else {
             report.candidates_rescreened += 1;
-            eng.try_remove_classified(cand, None)
+            eng.try_remove_classified(cand)
         }
     }
 

@@ -1,10 +1,11 @@
 //! Shared persistent worker pool.
 //!
 //! Three phases of the pipeline are embarrassingly parallel behind a
-//! deterministic merge: §4.4 minimization (candidate screening and
-//! level-batched ancestor recomputation), Petri-net validation (one
-//! independent maximal-step run per branch assignment) and the DES
-//! scheduler's per-wavefront readiness evaluation. All of them share this
+//! deterministic merge: the initial annotated closure of §4.4
+//! minimization (one topological level's rows at a time, in `iclosure`),
+//! Petri-net validation (one independent maximal-step run per branch
+//! assignment) and the DES scheduler's per-wavefront readiness
+//! evaluation. All of them share this
 //! module: chunked fork/join maps with a `threads: usize` knob following
 //! one convention everywhere — `0` picks the machine's available
 //! parallelism, `1` forces the fully sequential path, and the result is

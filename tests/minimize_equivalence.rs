@@ -1,13 +1,17 @@
 //! The optimized minimizer (interned annotations + bitset prefilters +
-//! scoped worker threads) must be **edge-for-edge identical** to the
-//! sequential structural reference implementation
+//! a level-parallel initial closure) must be **edge-for-edge identical**
+//! to the sequential structural reference implementation
 //! (`dscweaver_bench::oracle::minimize_generic_baseline`) — same removals, in the
 //! same order — for every equivalence mode, removal order, and thread
 //! count, on arbitrary layered / fork-join workloads with conditional
 //! constraints. Determinism across thread counts is the key property: the
-//! parallel phases (candidate screening, level-batched ancestor
-//! recomputation) are advisory precomputation only, so the greedy
-//! decisions cannot depend on scheduling.
+//! only parallel phase is the closure build, which is bit-identical at
+//! every thread count, and the greedy loop runs sequentially, so neither
+//! the decisions nor the interning telemetry can depend on scheduling.
+//!
+//! Every test here holds `obs::test_lock`: one of them records a trace,
+//! and the recorder is process-global, so a minimizer run on a concurrent
+//! test thread would otherwise leak its spans into that trace.
 
 use dscweaver::core::{
     merge, minimize, minimize_generic, minimize_generic_with, minimize_unconditional_fast,
@@ -15,7 +19,10 @@ use dscweaver::core::{
     MinimizeResult,
 };
 use dscweaver::dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
-use dscweaver::workloads::{fork_join, layered, LayeredParams};
+use dscweaver::obs::{self, EventKind};
+use dscweaver::workloads::{
+    dense_conditional, fork_join, layered, DenseConditionalParams, LayeredParams,
+};
 use dscweaver_bench::oracle::minimize_generic_baseline;
 use dscweaver_prng::Rng;
 
@@ -45,6 +52,7 @@ fn orders() -> [EdgeOrder; 3] {
 /// across every mode × order × thread count.
 #[test]
 fn engine_matches_baseline_on_conditional_layered() {
+    let _serial = obs::test_lock();
     let mut rng = Rng::seed_from_u64(0xE001);
     for case in 0..16 {
         let ds = layered(&LayeredParams {
@@ -88,6 +96,7 @@ fn engine_matches_baseline_on_conditional_layered() {
 /// fast path).
 #[test]
 fn engine_matches_baseline_and_fast_path_on_fork_join() {
+    let _serial = obs::test_lock();
     let mut rng = Rng::seed_from_u64(0xE002);
     for case in 0..16 {
         let width = 1 + rng.random_range(5);
@@ -123,10 +132,11 @@ fn engine_matches_baseline_and_fast_path_on_fork_join() {
 }
 
 /// Thread count never changes the result even when runs are repeated —
-/// guards against latent scheduling nondeterminism in the screening
-/// window.
+/// guards against latent scheduling nondeterminism in the parallel
+/// closure build.
 #[test]
 fn thread_count_is_invisible_across_repeats() {
+    let _serial = obs::test_lock();
     let ds = layered(&LayeredParams {
         width: 5,
         depth: 8,
@@ -166,6 +176,114 @@ fn thread_count_is_invisible_across_repeats() {
     }
 }
 
+/// One conditional layered, one dense-conditional and one unconditional
+/// fork-join input — the three shapes the thread-count tests sweep.
+fn thread_sweep_cases() -> Vec<(&'static str, ConstraintSet, ExecConditions)> {
+    let shapes = [
+        (
+            "layered",
+            layered(&LayeredParams {
+                width: 6,
+                depth: 9,
+                density: 0.35,
+                redundant: 40,
+                guards: 3,
+                seed: 0x51DE,
+            }),
+        ),
+        (
+            "dense_conditional",
+            dense_conditional(&DenseConditionalParams {
+                guards: 4,
+                chain_len: 5,
+                redundant: 24,
+                seed: 7,
+            }),
+        ),
+        ("fork_join", fork_join(6, 5, 30, 0xF0F0)),
+    ];
+    shapes
+        .into_iter()
+        .map(|(name, ds)| {
+            let (asc, exec) = prepared(&ds);
+            (name, asc, exec)
+        })
+        .collect()
+}
+
+fn run_with_threads(
+    asc: &ConstraintSet,
+    exec: &ExecConditions,
+    mode: EquivalenceMode,
+    threads: usize,
+) -> MinimizeResult {
+    let opts = MinimizeOptions {
+        threads,
+        ..Default::default()
+    };
+    minimize_generic_with(asc, exec, mode, &EdgeOrder::default(), &opts).unwrap()
+}
+
+/// The greedy phase does not depend on the thread count at all: not only
+/// the removals, but the candidates examined and every interning and
+/// `implies`-memo counter are identical at threads {1, 2, 4, 8}.
+#[test]
+fn greedy_phase_is_identical_at_every_thread_count() {
+    let _serial = obs::test_lock();
+    for (name, asc, exec) in thread_sweep_cases() {
+        for mode in MODES {
+            let reference = run_with_threads(&asc, &exec, mode, 1);
+            for threads in [2usize, 4, 8] {
+                let run = run_with_threads(&asc, &exec, mode, threads);
+                let ctx = format!("{name}, mode {mode:?}, threads {threads}");
+                assert_eq!(removed_list(&run), removed_list(&reference), "{ctx}");
+                assert_eq!(run.candidates_checked, reference.candidates_checked, "{ctx}");
+                assert_eq!(run.stats, reference.stats, "{ctx}");
+            }
+        }
+    }
+}
+
+/// The greedy loop never fans out: in a recorded run at four threads no
+/// pool span (`par.map.chunk`, `par.range.window`, `par.shard.chunk`)
+/// begins while a `minimize.greedy` span is open. Pool chunks run on
+/// worker lanes, so containment is judged by timestamps, not lanes.
+#[test]
+fn greedy_phase_runs_no_pool_chunks() {
+    let _serial = obs::test_lock();
+    for (name, asc, exec) in thread_sweep_cases() {
+        let (_, snap) =
+            obs::record_with(|| run_with_threads(&asc, &exec, EquivalenceMode::ExecutionAware, 4));
+        let mut greedy: Vec<(u64, u64)> = Vec::new();
+        let mut open: Option<u64> = None;
+        for e in snap.events().iter().filter(|e| e.name == "minimize.greedy") {
+            match e.kind {
+                EventKind::Begin => open = Some(e.ts_ns),
+                EventKind::End => greedy.push((open.take().expect("balanced"), e.ts_ns)),
+                EventKind::Instant => {}
+            }
+        }
+        assert_eq!(greedy.len(), 1, "{name}: one greedy span per run");
+        let pool_begins: Vec<(u64, &str)> = snap
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Begin && e.name.starts_with("par."))
+            .map(|e| (e.ts_ns, e.name))
+            .collect();
+        let inside: Vec<&str> = pool_begins
+            .iter()
+            .filter(|&&(ts, _)| greedy.iter().any(|&(b, end)| b <= ts && ts <= end))
+            .map(|&(_, n)| n)
+            .collect();
+        assert!(inside.is_empty(), "{name}: pool spans inside minimize.greedy: {inside:?}");
+        // The recorder did see the pool where it still pays (the closure
+        // levels), so an empty greedy window is not a dead recorder.
+        if name == "layered" {
+            assert!(!pool_begins.is_empty(), "{name}: the closure build should fan out");
+        }
+    }
+}
+
 fn cs_with(activities: &[&str], rels: Vec<Relation>) -> ConstraintSet {
     let mut cs = ConstraintSet::new("t");
     for a in activities {
@@ -196,6 +314,7 @@ fn kept_set(r: &MinimizeResult) -> Vec<String> {
 /// alike.
 #[test]
 fn baseline_reports_the_same_conflict() {
+    let _serial = obs::test_lock();
     let cs = cs_with(
         &["a", "b"],
         vec![
@@ -213,6 +332,7 @@ fn baseline_reports_the_same_conflict() {
 
 #[test]
 fn fast_path_agrees_with_generic_on_unconditional_sets() {
+    let _serial = obs::test_lock();
     // Deterministic pseudo-random unconditional DAGs: the dispatch
     // (fast path), the optimized generic engine, and the sequential
     // baseline must keep exactly the same relations.
@@ -272,6 +392,7 @@ fn fast_path_agrees_with_generic_on_unconditional_sets() {
 
 #[test]
 fn engine_agrees_with_baseline_on_conditional_sets() {
+    let _serial = obs::test_lock();
     // Hand-built conditional sets covering the prefilter edge cases:
     // same-guard duplicates, guarded shortcut chains, branch joins.
     let mut cs = cs_with(
